@@ -237,7 +237,7 @@ double MeasurePolicyNs(const PolicyCase& policy, const PathConfig& config) {
     if (page == nullptr) {
       return false;
     }
-    container->free_q().EnqueueTail(page, 0);
+    container->free_q().EnqueueTail(page);
     container->operands().WritePage(result.return_operand, nullptr);
     return true;
   };

@@ -40,11 +40,11 @@ void BM_PageQueueChurn(benchmark::State& state) {
   mach::PageQueue queue("bench");
   std::vector<mach::VmPage> pages(64);
   for (auto& p : pages) {
-    queue.EnqueueTail(&p, 0);
+    queue.EnqueueTail(&p);
   }
   for (auto _ : state) {
     mach::VmPage* page = queue.DequeueHead();
-    queue.EnqueueTail(page, 0);
+    queue.EnqueueTail(page);
     benchmark::DoNotOptimize(page);
   }
 }
@@ -69,7 +69,7 @@ void RunExecutorSimpleFault(benchmark::State& state, core::DispatchMode mode) {
     core::ExecResult result = executor.ExecuteEvent(container, core::kEventPageFault);
     // Put the page back so the free list never drains.
     mach::VmPage* page = container->operands().ReadPage(result.return_operand);
-    container->free_q().EnqueueTail(page, 0);
+    container->free_q().EnqueueTail(page);
     container->operands().WritePage(result.return_operand, nullptr);
     benchmark::DoNotOptimize(result.commands_executed);
   }
@@ -166,8 +166,13 @@ Event ReclaimFrame() {
 }
 BENCHMARK(BM_TranslatorCompile);
 
+// Arg 0: deterministic mode (virtual clock, locks disabled). Arg 1: real-threads mode, one
+// thread: the world lock, an armed task lock and a host-clock hit stamp per access.
 void BM_KernelTouchTlbHit(benchmark::State& state) {
-  mach::Kernel kernel{mach::KernelParams{}};
+  mach::KernelParams params;
+  params.exec_mode = state.range(0) == 0 ? sim::ExecMode::kDeterministic
+                                         : sim::ExecMode::kRealThreads;
+  mach::Kernel kernel(params);
   mach::Task* task = kernel.CreateTask("bench");
   uint64_t addr = kernel.VmAllocate(task, 4 * kPageSize);
   kernel.Touch(task, addr, true);
@@ -176,7 +181,7 @@ void BM_KernelTouchTlbHit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_KernelTouchTlbHit);
+BENCHMARK(BM_KernelTouchTlbHit)->Arg(0)->Arg(1);
 
 // Direct (host-clock) measurement of the arith-loop workload for the JSON summary.
 double MeasureCommandsPerSec(core::DispatchMode mode) {

@@ -72,7 +72,7 @@ double MeasureHostNsPerCommand(core::DispatchMode mode) {
   auto run_one = [&] {
     core::ExecResult result = executor.ExecuteEvent(container, core::kEventPageFault);
     mach::VmPage* page = container->operands().ReadPage(result.return_operand);
-    container->free_q().EnqueueTail(page, 0);  // keep the free list from draining
+    container->free_q().EnqueueTail(page);  // keep the free list from draining
     container->operands().WritePage(result.return_operand, nullptr);
     return result.commands_executed;
   };

@@ -65,11 +65,14 @@ sim::Nanos DiskModel::ServiceTimeNs(uint64_t block, bool is_write) {
 
 sim::Nanos DiskModel::ReadPage(uint64_t block) {
   sim::ScopedLock lock(mu_);
-  sim::Nanos start = clock_->now();
+  // Under a real clock the read's latency is its modelled service time; only virtual time
+  // needs the start stamp (queueing behind saturated writes adds to it).
+  const bool deterministic = clock_->deterministic();
+  const sim::Nanos start = deterministic ? clock_->now() : 0;
   // Reads wait only if the write queue is saturated (back-pressure), mirroring how the global
   // frame manager's laundry throttles under heavy flushing. Waiting on the event queue is a
   // virtual-time construct; under a real clock the queue simply grows until polled.
-  if (clock_->deterministic()) {
+  if (deterministic) {
     while (write_queue_.size() >= params_.write_queue_limit) {
       sim::Nanos deadline = clock_->next_deadline();
       HIPEC_CHECK_MSG(deadline >= 0, "write queue saturated with no drain event pending");
@@ -79,7 +82,7 @@ sim::Nanos DiskModel::ReadPage(uint64_t block) {
   sim::Nanos service = ServiceTimeNs(block) + injected_read_ns_;
   clock_->Advance(service);
   counters_.Add(kCtrReads);
-  sim::Nanos total = clock_->deterministic() ? clock_->now() - start : service;
+  sim::Nanos total = deterministic ? clock_->now() - start : service;
   read_latency_.Record(total);
   if (obs::ProbesEnabled()) {
     probes_.Record(kPrbReadNs, total);

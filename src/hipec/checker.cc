@@ -121,7 +121,7 @@ void SecurityChecker::Wakeup() {
         c->kill_requested.store(true, std::memory_order_release);
         detected = true;
         counters_.Add(kCtrTimeoutsDetected);
-        kernel_->tracer().Record(now, sim::TraceCategory::kChecker, 2, c->id(),
+        kernel_->tracer().Record(sim::TraceCategory::kChecker, 2, c->id(),
                                  static_cast<uint64_t>(now - started));
         if (timeout_observer_) {
           timeout_observer_(c->id());
@@ -131,7 +131,7 @@ void SecurityChecker::Wakeup() {
   }
 
   sim::Nanos interval = wakeup_ns_.load(std::memory_order_relaxed);
-  kernel_->tracer().Record(now, sim::TraceCategory::kChecker, detected ? 1 : 0,
+  kernel_->tracer().Record(sim::TraceCategory::kChecker, detected ? 1 : 0,
                            static_cast<uint64_t>(interval), static_cast<uint64_t>(scanned));
   if (detected) {
     interval = std::max(costs.checker_wakeup_min_ns, interval / 2);

@@ -227,7 +227,7 @@ bool HipecEngine::HandleFault(const mach::FaultContext& ctx) {
   // the policy reorganizes its queues on subsequent events. The page variable named by Return
   // is left pointing at the installed page, so a policy can classify "the previous fault's
   // page" at its next event (see examples/buffer_manager.cpp).
-  container->active_q().EnqueueTail(page, kernel_->ctx().now());
+  container->active_q().EnqueueTail(page);
   ++container->faults_handled;
   counters_.Add(kCtrFaultsHandled);
   return true;
@@ -259,6 +259,13 @@ size_t HipecEngine::RunReclaim(Container* container, size_t ask) {
     ask += debt;
     counters_.Add(kCtrReclaimDebtRepaid, static_cast<int64_t>(debt));
   }
+  // Cooperative reclamation never takes a container below its minFrame guarantee (only
+  // ForcedReclaim may). Banked debt can push the ask past the current surplus, and a policy
+  // that then releases everything is left with no frame to evict on its next fault.
+  const size_t surplus = container->allocated_frames > container->min_frames()
+                             ? container->allocated_frames - container->min_frames()
+                             : 0;
+  ask = std::min(ask, surplus);
   container->operands().WriteInt(std_ops::kReclaimCount, static_cast<int64_t>(ask));
   size_t before = container->allocated_frames;
   ExecResult result = executor_.ExecuteEvent(container, kEventReclaimFrame);

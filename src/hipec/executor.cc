@@ -175,14 +175,8 @@ ExecResult PolicyExecutor::ExecuteEvent(Container* container, int event) {
   }
   container->exec_start_ns.store(-1, std::memory_order_relaxed);
   container->executing_event.store(-1, std::memory_order_relaxed);
-  // The tracer is off unless a test/scenario enabled it; evaluating Record's arguments costs
-  // a clock read, so gate the whole call rather than relying on its internal enabled check.
-  sim::Tracer& tracer = kernel_->tracer();
-  if (tracer.enabled()) [[unlikely]] {
-    tracer.Record(kernel_->ctx().now(), sim::TraceCategory::kPolicy,
-                  static_cast<uint16_t>(result.outcome), container->id(),
-                  static_cast<uint64_t>(event));
-  }
+  kernel_->tracer().Record(sim::TraceCategory::kPolicy, static_cast<uint16_t>(result.outcome),
+                           container->id(), static_cast<uint64_t>(event));
   counters_.Add(kCtrEvents);
   counters_.Add(kCtrCommands, result.commands_executed);
   return result;
@@ -195,8 +189,11 @@ ExecResult PolicyExecutor::ExecuteEvent(Container* container, int event) {
 // time, and the fusion pass folded hot adjacent pairs into superinstructions.
 //
 // The loop body lives in dispatch_loop.inc and is instantiated twice: a portable dense
-// switch, and (on GNU-compatible compilers) a computed-goto "threaded" loop whose per-handler
-// indirect branches give the predictor one history slot per command kind.
+// switch, and (on GNU-compatible compilers) a computed-goto loop. The computed goto skips
+// the switch's range check, but it does not give each handler its own indirect branch: a
+// Release GCC build merges every `goto *` into one shared dispatch `jmp *`, and the fused
+// LoadImm;Arith handler adds one more indirect jump, the jump table of its inner switch
+// over the arithmetic operator.
 // ----------------------------------------------------------------------------------------
 
 #define HIPEC_DISPATCH_NAME RunEventIrSwitch
@@ -384,7 +381,8 @@ uint8_t PolicyExecutor::RunEventSwitch(Container* c, int event, int depth, int64
         DoSet(c, inst);
         break;
       case Opcode::kRef:
-        condition_ = c->operands().ReadPage(inst.op1)->reference;
+        condition_ =
+            c->operands().ReadPage(inst.op1)->reference.load(std::memory_order_relaxed);
         break;
       case Opcode::kMod:
         condition_ = c->operands().ReadPage(inst.op1)->modified;
@@ -551,7 +549,7 @@ void PolicyExecutor::DoSet(Container* c, const Instruction& inst) {
   bool value = inst.op3 != 0;
   switch (static_cast<PageBit>(inst.op2)) {
     case PageBit::kReference:
-      page->reference = value;
+      page->reference.store(value, std::memory_order_relaxed);
       break;
     case PageBit::kModify:
       page->modified = value;
@@ -582,9 +580,9 @@ void PolicyExecutor::DoEnQueue(Container* c, const Instruction& inst) {
   }
   mach::PageQueue* queue = c->operands().ReadQueue(inst.op2);
   if (static_cast<QueueEnd>(inst.op3) == QueueEnd::kTail) {
-    queue->EnqueueTail(page, kernel_->ctx().now());
+    queue->EnqueueTail(page);
   } else {
-    queue->EnqueueHead(page, kernel_->ctx().now());
+    queue->EnqueueHead(page);
   }
 }
 

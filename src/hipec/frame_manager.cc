@@ -126,8 +126,7 @@ bool GlobalFrameManager::GrantFrames(Container* container, size_t n, mach::PageQ
   if (obs::ProbesEnabled()) {
     probes_.Record(kPrbOccupancyFrames, static_cast<int64_t>(total_specific_));
   }
-  kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kManager, 0,
-                           container->id(), n);
+  kernel_->tracer().Record(sim::TraceCategory::kManager, 0, container->id(), n);
   return true;
 }
 
@@ -221,7 +220,8 @@ bool GlobalFrameManager::AdmitContainer(Container* container) {
 bool GlobalFrameManager::RequestFrames(Container* container, size_t n, mach::PageQueue* dest) {
   PollCompletions();
   sim::ScopedLock lock(mu_);
-  const sim::Nanos start_ns = kernel_->clock().now();
+  const bool probed = obs::ProbesEnabled();
+  const sim::Nanos start_ns = probed ? kernel_->clock().now() : 0;
   MaybeAdaptBurst();
   counters_.Add(kCtrRequests);
   ++container->requests_made;
@@ -229,15 +229,14 @@ bool GlobalFrameManager::RequestFrames(Container* container, size_t n, mach::Pag
       !GrantFrames(container, n, dest)) {
     counters_.Add(kCtrRequestsRejected);
     ++container->requests_rejected;
-    if (obs::ProbesEnabled()) {
+    if (probed) {
       probes_.Record(kPrbRequestNs, kernel_->clock().now() - start_ns);
     }
-    kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kManager, 1,
-                             container->id(), n);
+    kernel_->tracer().Record(sim::TraceCategory::kManager, 1, container->id(), n);
     NotifyDecision("request-reject");
     return false;
   }
-  if (obs::ProbesEnabled()) {
+  if (probed) {
     probes_.Record(kPrbRequestNs, kernel_->clock().now() - start_ns);
   }
   NotifyDecision("request");
@@ -289,8 +288,7 @@ mach::VmPage* GlobalFrameManager::FlushExchange(Container* container, mach::VmPa
   }
   if (!was_dirty) {
     counters_.Add(kCtrFlushesClean);
-    kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kManager, 5,
-                             container->id(), 0);
+    kernel_->tracer().Record(sim::TraceCategory::kManager, 5, container->id(), 0);
     NotifyDecision("flush-clean");
     return page;
   }
@@ -302,8 +300,7 @@ mach::VmPage* GlobalFrameManager::FlushExchange(Container* container, mach::VmPa
     counters_.Add(kCtrFlushesSync);
     kernel_->disk().WritePageSync(block);
     page->modified = false;
-    kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kManager, 4,
-                             container->id(), block);
+    kernel_->tracer().Record(sim::TraceCategory::kManager, 4, container->id(), block);
     NotifyDecision("flush-sync");
     return page;
   }
@@ -316,18 +313,17 @@ mach::VmPage* GlobalFrameManager::FlushExchange(Container* container, mach::VmPa
   TrackAlloc(replacement);
   page->owner = this;
   page->modified = false;  // contents are en route to disk
-  laundry_.EnqueueTail(page, kernel_->clock().now());
+  laundry_.EnqueueTail(page);
   kernel_->disk().WritePageAsync(block, [this, page] {
     // Deterministic: fires during a foreground Advance. Real threads: fires from
     // PollCompletions (before mu_ is taken) or DrainWrites, so take the manager lock here.
     sim::ScopedLock lock(mu_);
     laundry_.Remove(page);
-    reserve_.EnqueueTail(page, kernel_->clock().now());
+    reserve_.EnqueueTail(page);
     counters_.Add(kCtrLaundryDone);
   });
   counters_.Add(kCtrFlushesAsync);
-  kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kManager, 3,
-                           container->id(), block);
+  kernel_->tracer().Record(sim::TraceCategory::kManager, 3, container->id(), block);
   NotifyDecision("flush-exchange");
   return replacement;
 }
@@ -360,7 +356,7 @@ bool GlobalFrameManager::MigrateFrame(Container* from, mach::VmPage* page, uint6
   ++target->allocated_frames;  // total_specific_ unchanged: the frame stays specific
   page->owner = target;
   page->user_word = 0;  // the source policy's score means nothing to the target
-  target->free_q().EnqueueTail(page, kernel_->clock().now());
+  target->free_q().EnqueueTail(page);
   counters_.Add(kCtrMigrations);
   NotifyDecision("migrate");
   return true;
@@ -408,8 +404,7 @@ size_t GlobalFrameManager::NormalReclaim(size_t needed, Container* exclude) {
     size_t released = reclaim_runner_(c, ask);  // may free c; do not touch c afterwards
     got += released;
     counters_.Add(kCtrNormalReclaims, static_cast<int64_t>(released));
-    kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kReclaim, 0,
-                             victim_id, released);
+    kernel_->tracer().Record(sim::TraceCategory::kReclaim, 0, victim_id, released);
   }
   return got;
 }
@@ -422,8 +417,7 @@ size_t GlobalFrameManager::ForcedReclaim(size_t needed, Container* exclude) {
   uint64_t run_frames = 0;
   auto emit_run = [&] {
     if (run_frames > 0) {
-      kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kReclaim, 1,
-                               run_victim, run_frames);
+      kernel_->tracer().Record(sim::TraceCategory::kReclaim, 1, run_victim, run_frames);
       run_frames = 0;
     }
   };

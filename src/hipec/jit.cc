@@ -99,7 +99,6 @@ const HostOffsets& Offsets() {
     o.pg_q_prev = delta(&pg, &pg.q_prev);
     o.pg_q_next = delta(&pg, &pg.q_next);
     o.pg_owner = delta(&pg, &pg.owner);
-    o.pg_enqueue_ns = delta(&pg, &pg.enqueue_ns);
     o.pg_user_word = delta(&pg, &pg.user_word);
     return o;
   }();
@@ -177,37 +176,6 @@ extern "C" uint64_t HipecJitBridgeActivate(JitFrame* f, uint64_t event, uint64_t
   return Guarded(f, [&]() -> uint64_t {
     ExecutorAccess::Activate(f->executor, f->container, static_cast<int>(event), f->depth + 1,
                              f->budget);
-    return 0;
-  });
-}
-
-extern "C" uint64_t HipecJitBridgeDeq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail) {
-  return Guarded(f, [&]() -> uint64_t {
-    mach::PageQueue* queue = f->slots[b].queue;
-    mach::VmPage* page = tail != 0 ? queue->DequeueTail() : queue->DequeueHead();
-    if (page == nullptr) {
-      throw PolicyError("DeQueue from an empty queue (guard with EmptyQ or a count)");
-    }
-    f->slots[a].page = page;
-    return 0;
-  });
-}
-
-extern "C" uint64_t HipecJitBridgeEnq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail) {
-  return Guarded(f, [&]() -> uint64_t {
-    mach::VmPage* page = RequirePage(static_cast<uint8_t>(a), f->slots[a]);
-    if (page->owner != f->container) {
-      throw PolicyError("EnQueue of a frame the application does not own");
-    }
-    if (page->queue != nullptr) {
-      throw PolicyError("EnQueue of a page that is already on a queue");
-    }
-    mach::PageQueue* queue = f->slots[b].queue;
-    if (tail != 0) {
-      queue->EnqueueTail(page, Kctx(f).now());
-    } else {
-      queue->EnqueueHead(page, Kctx(f).now());
-    }
     return 0;
   });
 }

@@ -25,7 +25,7 @@ struct HostOffsets {
   // mach::PageQueue / mach::VmPage
   uint32_t q_count, q_head, q_tail;
   uint32_t pg_queue, pg_reference, pg_modified;
-  uint32_t pg_q_prev, pg_q_next, pg_owner, pg_enqueue_ns;
+  uint32_t pg_q_prev, pg_q_next, pg_owner;
   uint32_t pg_user_word;
 };
 const HostOffsets& Offsets();
@@ -44,11 +44,6 @@ extern "C" {
 uint64_t HipecJitBridgeCharge(JitFrame* f, uint64_t delta_ns, uint64_t, uint64_t);
 uint64_t HipecJitBridgeTrace(JitFrame* f, uint64_t cc, uint64_t op, uint64_t cond);
 uint64_t HipecJitBridgeActivate(JitFrame* f, uint64_t event, uint64_t, uint64_t);
-// DeQueue head/tail of queue slot b into page slot a (tail != 0 selects DequeueTail).
-uint64_t HipecJitBridgeDeq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail);
-// EnQueue page slot a onto queue slot b (also the second half of the fused Deq;Enq pair,
-// which passes the fused record's target queue as b).
-uint64_t HipecJitBridgeEnq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail);
 uint64_t HipecJitBridgeRequest(JitFrame* f, uint64_t a, uint64_t b, uint64_t);
 uint64_t HipecJitBridgeReleaseQueue(JitFrame* f, uint64_t a, uint64_t, uint64_t);
 uint64_t HipecJitBridgeReleasePage(JitFrame* f, uint64_t a, uint64_t, uint64_t);

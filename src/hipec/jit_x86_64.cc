@@ -386,9 +386,8 @@ bool EmitEventX86(const DecodedEvent& stream, const OperandArray& operands,
 
   // EnQueue{Head,Tail}: the interpreter's three checks (operand holds a page, the container
   // owns it, it is not already queued) in the same order with the same messages, then the
-  // PageQueue::Enqueue* splice. enqueue_ns takes r14 — the already-charged virtual now,
-  // which is exactly what kctx.now() reads in the interpreter's handler — so this core is
-  // deterministic-mode only (real-threads mode keeps the bridge and its real-clock read).
+  // PageQueue::Enqueue* splice. It reads no clock, so like the DeQueue core it is emitted in
+  // both execution modes.
   auto EmitEnqCore = [&](bool at_tail, uint8_t pslot, uint8_t qslot) {
     const auto end_off = static_cast<int32_t>(at_tail ? off.q_tail : off.q_head);
     const auto far_off = static_cast<int32_t>(at_tail ? off.q_head : off.q_tail);
@@ -404,7 +403,6 @@ bool EmitEventX86(const DecodedEvent& stream, const OperandArray& operands,
     a.Jcc(CC_NE, StaticError("EnQueue of a page that is already on a queue"));
     a.MovRM(RCX, RBX, SlotDisp(qslot, off.op_queue));
     a.MovMR(RAX, static_cast<int32_t>(off.pg_queue), RCX);  // the release store, as one mov
-    a.MovMR(RAX, static_cast<int32_t>(off.pg_enqueue_ns), R14);
     a.StoreQImm(RAX, outward_off, 0);
     a.MovRM(RDX, RCX, end_off);  // the old end (null when the queue is empty)
     a.MovMR(RAX, inward_off, RDX);
@@ -585,13 +583,7 @@ bool EmitEventX86(const DecodedEvent& stream, const OperandArray& operands,
       case DispatchKind::kEnQueueHead:
       case DispatchKind::kEnQueueTail:
         EmitGuards();
-        if (options.deterministic) {
-          EmitEnqCore(d.kind == DispatchKind::kEnQueueTail, d.a, d.b);
-        } else {
-          EmitBridge(HipecJitBridgeEnq, d.a, d.b,
-                     d.kind == DispatchKind::kEnQueueTail ? 1 : 0);
-          EmitStatusCheck();
-        }
+        EmitEnqCore(d.kind == DispatchKind::kEnQueueTail, d.a, d.b);
         NonTestTail(cc16, d.raw_op);
         break;
 
@@ -756,14 +748,8 @@ bool EmitEventX86(const DecodedEvent& stream, const OperandArray& operands,
         a.StoreBImm(R15, 0, 0);
         EmitTrace(cc16, d.raw_op, kCondZero);
         EmitGuards();  // the EnQueue's own prologue
-        if (options.deterministic) {
-          EmitEnqCore(d.kind == DispatchKind::kFusedDeqHeadEnqTail,
-                      d.a, static_cast<uint8_t>(d.target));
-        } else {
-          EmitBridge(HipecJitBridgeEnq, d.a, d.target,
-                     d.kind == DispatchKind::kFusedDeqHeadEnqTail ? 1 : 0);
-          EmitStatusCheck();
-        }
+        EmitEnqCore(d.kind == DispatchKind::kFusedDeqHeadEnqTail, d.a,
+                    static_cast<uint8_t>(d.target));
         a.StoreBImm(R15, 0, 0);
         EmitTrace(static_cast<uint16_t>(cc + 1), static_cast<uint8_t>(Opcode::kEnQueue),
                   kCondZero);

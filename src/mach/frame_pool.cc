@@ -35,7 +35,7 @@ size_t ShardedFramePool::HomeShard() const {
 void ShardedFramePool::AddBootFrame(VmPage* page) {
   Shard& shard = *shards_[next_boot_++ % shards_.size()];
   sim::ScopedLock lock(shard.mu);
-  shard.queue.EnqueueTail(page, 0);
+  shard.queue.EnqueueTail(page);
   total_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -53,14 +53,14 @@ VmPage* ShardedFramePool::Take() {
   return nullptr;
 }
 
-void ShardedFramePool::Put(VmPage* page, sim::Nanos now) {
+void ShardedFramePool::Put(VmPage* page) {
   Shard& shard = *shards_[HomeShard()];
   sim::ScopedLock lock(shard.mu);
-  shard.queue.EnqueueTail(page, now);
+  shard.queue.EnqueueTail(page);
   total_.fetch_add(1, std::memory_order_relaxed);
 }
 
-size_t ShardedFramePool::TakeBatch(size_t n, PageQueue* out, sim::Nanos now) {
+size_t ShardedFramePool::TakeBatch(size_t n, PageQueue* out) {
   size_t got = 0;
   size_t home = HomeShard();
   for (size_t i = 0; i < shards_.size() && got < n; ++i) {
@@ -72,14 +72,14 @@ size_t ShardedFramePool::TakeBatch(size_t n, PageQueue* out, sim::Nanos now) {
         break;
       }
       total_.fetch_sub(1, std::memory_order_relaxed);
-      out->EnqueueTail(page, now);
+      out->EnqueueTail(page);
       ++got;
     }
   }
   return got;
 }
 
-void ShardedFramePool::PutBatch(PageQueue* from, size_t n, sim::Nanos now) {
+void ShardedFramePool::PutBatch(PageQueue* from, size_t n) {
   Shard& shard = *shards_[HomeShard()];
   sim::ScopedLock lock(shard.mu);
   for (size_t i = 0; i < n; ++i) {
@@ -87,7 +87,7 @@ void ShardedFramePool::PutBatch(PageQueue* from, size_t n, sim::Nanos now) {
     if (page == nullptr) {
       break;
     }
-    shard.queue.EnqueueTail(page, now);
+    shard.queue.EnqueueTail(page);
     total_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -131,26 +131,26 @@ FrameMagazine::~FrameMagazine() {
   pool_->UnregisterMagazine(&queue_);
 }
 
-VmPage* FrameMagazine::Take(sim::Nanos now) {
+VmPage* FrameMagazine::Take() {
   VmPage* page = queue_.DequeueHead();
   if (page != nullptr) {
     return page;
   }
-  if (pool_->TakeBatch(capacity_ / 2, &queue_, now) == 0) {
+  if (pool_->TakeBatch(capacity_ / 2, &queue_) == 0) {
     return nullptr;
   }
   return queue_.DequeueHead();
 }
 
-void FrameMagazine::Put(VmPage* page, sim::Nanos now) {
-  queue_.EnqueueTail(page, now);
+void FrameMagazine::Put(VmPage* page) {
+  queue_.EnqueueTail(page);
   if (queue_.count() > capacity_) {
-    pool_->PutBatch(&queue_, capacity_ / 2, now);
+    pool_->PutBatch(&queue_, capacity_ / 2);
   }
 }
 
-void FrameMagazine::Flush(sim::Nanos now) {
-  pool_->PutBatch(&queue_, queue_.count(), now);
+void FrameMagazine::Flush() {
+  pool_->PutBatch(&queue_, queue_.count());
 }
 
 }  // namespace hipec::mach

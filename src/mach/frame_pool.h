@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "mach/page_queue.h"
-#include "sim/clock.h"
 #include "sim/lock.h"
 
 namespace hipec::mach {
@@ -54,16 +53,16 @@ class ShardedFramePool {
   // Returns nullptr when every shard is empty.
   VmPage* Take();
 
-  // Returns a frame to the caller's home shard. `now` stamps the queue entry.
-  void Put(VmPage* page, sim::Nanos now);
+  // Returns a frame to the caller's home shard.
+  void Put(VmPage* page);
 
   // Takes up to `n` frames into `out`, draining whole shards per lock acquisition (home
   // first, then steal order). Returns how many were taken. The magazine refill path.
-  size_t TakeBatch(size_t n, PageQueue* out, sim::Nanos now);
+  size_t TakeBatch(size_t n, PageQueue* out);
 
   // Moves up to `n` frames from `from`'s head to the caller's home shard under one lock
   // acquisition. The magazine flush path.
-  void PutBatch(PageQueue* from, size_t n, sim::Nanos now);
+  void PutBatch(PageQueue* from, size_t n);
 
   // Pool-wide free count (relaxed; exact when writers are quiesced, an admission heuristic
   // while they run). Excludes frames checked out into magazines.
@@ -117,13 +116,13 @@ class FrameMagazine {
 
   // One cached frame, refilling a half-capacity batch from the pool when empty. Returns
   // nullptr when the magazine is empty and so is the pool.
-  VmPage* Take(sim::Nanos now);
+  VmPage* Take();
 
   // Caches `page`; flushes half the magazine back to the pool when full.
-  void Put(VmPage* page, sim::Nanos now);
+  void Put(VmPage* page);
 
   // Returns every cached frame to the pool (worker exit, stop-the-world drains).
-  void Flush(sim::Nanos now);
+  void Flush();
 
   size_t count() const { return queue_.count(); }
   size_t capacity() const { return capacity_; }

@@ -34,20 +34,20 @@ const sim::CounterId kCtrPageouts = sim::InternCounter("kernel.pageouts");
 
 }  // namespace
 
-Kernel::Kernel(KernelParams params) : params_(params), frames_(params_.total_frames) {
+// Exactly one clock, chosen by mode: the virtual clock is also reachable through vclock_
+// so hot paths charge time without a virtual call.
+Kernel::Kernel(KernelParams params)
+    : params_(params),
+      vclock_(params_.exec_mode == sim::ExecMode::kDeterministic
+                  ? std::make_unique<sim::VirtualClock>()
+                  : nullptr),
+      rclock_(vclock_ == nullptr ? std::make_unique<sim::RealClock>() : nullptr),
+      clock_ptr_(vclock_ != nullptr ? static_cast<sim::Clock*>(vclock_.get()) : rclock_.get()),
+      frames_(params_.total_frames),
+      tracer_(*clock_ptr_) {
   // frames_ is count-constructed in the init list: VmPage carries atomic members (queue,
   // busy) and is therefore not movable, so resize() after the fact would not compile.
   HIPEC_CHECK(params_.total_frames > params_.kernel_reserved_frames);
-
-  // Exactly one clock, chosen by mode: the virtual clock is also reachable through vclock_
-  // so hot paths charge time without a virtual call.
-  if (params_.exec_mode == sim::ExecMode::kDeterministic) {
-    vclock_ = std::make_unique<sim::VirtualClock>();
-    clock_ptr_ = vclock_.get();
-  } else {
-    rclock_ = std::make_unique<sim::RealClock>();
-    clock_ptr_ = rclock_.get();
-  }
 
   disk_ = std::make_unique<disk::DiskModel>(clock_ptr_, params_.disk, params_.seed);
   daemon_ = std::make_unique<PageoutDaemon>(this, params_.pageout, params_.free_pool_shards,
@@ -192,6 +192,9 @@ void Kernel::VmDeallocate(Task* task, uint64_t start) {
 
 void Kernel::VmWire(Task* task, uint64_t vaddr, uint64_t size_bytes) {
   ctx_.Charge(params_.costs.null_syscall_ns);
+  // A kernel entry like Touch: the world before the task lock (the nested Touches re-enter
+  // it), so a pending stop-the-world never finds this thread blocked holding the task lock.
+  sim::SharedWorldGuard world(world_);
   sim::ScopedLock task_lock(task->mutex());
   for (uint64_t a = vaddr; a < vaddr + size_bytes; a += kPageSize) {
     if (!Touch(task, a, /*is_write=*/false)) {
@@ -243,22 +246,22 @@ bool Kernel::Touch(Task* task, uint64_t vaddr, bool is_write) {
 
   // TLB / page-table hit: no kernel involvement; the hardware sets reference/modify bits.
   if (VmPage* page = pmap_.Lookup(task, vaddr); page != nullptr) {
-    if (is_write && pmap_.IsWriteProtected(page)) {
-      counters_.Add(kCtrProtectionFaults);
-      TerminateTask(task, "wrote to a write-protected region (wired HiPEC command buffer)");
-      return false;
-    }
-    page->reference = true;
     if (is_write) {
+      if (pmap_.IsWriteProtected(page)) {
+        counters_.Add(kCtrProtectionFaults);
+        TerminateTask(task, "wrote to a write-protected region (wired HiPEC command buffer)");
+        return false;
+      }
       page->modified = true;
     }
+    page->reference.store(true, std::memory_order_relaxed);
     page->last_reference_ns = ctx_.now();
     return true;
   }
 
   // Page fault.
   counters_.Add(kCtrPageFaults);
-  tracer_.Record(ctx_.now(), sim::TraceCategory::kFault, 0, task->id(), vaddr);
+  tracer_.Record(sim::TraceCategory::kFault, 0, task->id(), vaddr);
   if (params_.hipec_build) {
     // The modified kernel checks every fault against the specific-region table (§5.2).
     ctx_.Charge(params_.costs.hipec_region_check_ns);
@@ -326,7 +329,7 @@ void Kernel::DefaultFault(Task* task, VmMapEntry* entry, uint64_t vaddr, bool is
     counters_.Add(kCtrSoftFaults);
     daemon_->ReactivateIfInactive(page);
     pmap_.Enter(task, vaddr, page, entry->write_protected);
-    page->reference = true;
+    page->reference.store(true, std::memory_order_relaxed);
     if (is_write) {
       page->modified = true;
     }
@@ -354,20 +357,20 @@ void Kernel::InstallPage(Task* task, VmMapEntry* entry, uint64_t vaddr, VmPage* 
       // EMM path: ask the external pager (IPC round trip + user-level service).
       object->pager->RequestData(object, offset);
       counters_.Add(kCtrPagerFills);
-      tracer_.Record(ctx_.now(), sim::TraceCategory::kFill, 2, object->id(), offset);
+      tracer_.Record(sim::TraceCategory::kFill, 2, object->id(), offset);
     } else {
       disk_->ReadPage(object->BlockFor(offset));
-      tracer_.Record(ctx_.now(), sim::TraceCategory::kFill, 1, object->id(), offset);
+      tracer_.Record(sim::TraceCategory::kFill, 1, object->id(), offset);
     }
     counters_.Add(kCtrDiskFills);
   } else {
     counters_.Add(kCtrZeroFills);
-    tracer_.Record(ctx_.now(), sim::TraceCategory::kFill, 0, object->id(), offset);
+    tracer_.Record(sim::TraceCategory::kFill, 0, object->id(), offset);
   }
 
   object->InsertPage(page, offset);
   pmap_.Enter(task, vaddr & ~(kPageSize - 1), page, entry->write_protected);
-  page->reference = true;
+  page->reference.store(true, std::memory_order_relaxed);
   page->modified = is_write;
   page->last_reference_ns = ctx_.now();
 }
@@ -396,8 +399,8 @@ void Kernel::EvictPageLocked(VmPage* page, bool flush_if_dirty) {
     pmap_.RemovePage(page);
   }
   if (page->object != nullptr) {
-    tracer_.Record(ctx_.now(), sim::TraceCategory::kEviction, page->modified ? 1 : 0,
-                   page->frame_number, page->object->id());
+    tracer_.Record(sim::TraceCategory::kEviction, page->modified ? 1 : 0, page->frame_number,
+                   page->object->id());
   }
   if (page->object != nullptr) {
     if (page->modified && flush_if_dirty) {
@@ -405,7 +408,7 @@ void Kernel::EvictPageLocked(VmPage* page, bool flush_if_dirty) {
     }
     page->object->RemovePage(page);
   }
-  page->reference = false;
+  page->reference.store(false, std::memory_order_relaxed);
   page->modified = false;
   page->busy = false;
 }

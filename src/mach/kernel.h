@@ -291,7 +291,7 @@ class Kernel {
   // deterministic fast path (null in real-threads mode).
   std::unique_ptr<sim::VirtualClock> vclock_;
   std::unique_ptr<sim::RealClock> rclock_;
-  sim::Clock* clock_ptr_ = nullptr;
+  sim::Clock* clock_ptr_;
   std::unique_ptr<disk::DiskModel> disk_;
   std::vector<VmPage> frames_;
   std::unique_ptr<PageoutDaemon> daemon_;

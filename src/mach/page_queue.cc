@@ -19,14 +19,13 @@ PageQueue::~PageQueue() {
   }
 }
 
-void PageQueue::EnqueueHead(VmPage* page, sim::Nanos now) {
+void PageQueue::EnqueueHead(VmPage* page) {
   HIPEC_CHECK_MSG(page->queue.load(std::memory_order_relaxed) == nullptr,
                   "page " << page->frame_number << " already on a queue while enqueuing to "
                           << name_);
   // Release: a racing shard-resolver that acquire-loads this pointer must also see the
   // writer's preceding stores (in particular `busy = true` around daemon-queue transitions).
   page->queue.store(this, std::memory_order_release);
-  page->enqueue_ns = now;
   page->q_prev = nullptr;
   page->q_next = head_;
   if (head_ != nullptr) {
@@ -38,12 +37,11 @@ void PageQueue::EnqueueHead(VmPage* page, sim::Nanos now) {
   ++count_;
 }
 
-void PageQueue::EnqueueTail(VmPage* page, sim::Nanos now) {
+void PageQueue::EnqueueTail(VmPage* page) {
   HIPEC_CHECK_MSG(page->queue.load(std::memory_order_relaxed) == nullptr,
                   "page " << page->frame_number << " already on a queue while enqueuing to "
                           << name_);
   page->queue.store(this, std::memory_order_release);
-  page->enqueue_ns = now;
   page->q_next = nullptr;
   page->q_prev = tail_;
   if (tail_ != nullptr) {

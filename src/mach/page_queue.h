@@ -18,8 +18,8 @@ class PageQueue {
   ~PageQueue();
 
   // Insertion. The page must not currently be on any queue.
-  void EnqueueHead(VmPage* page, sim::Nanos now);
-  void EnqueueTail(VmPage* page, sim::Nanos now);
+  void EnqueueHead(VmPage* page);
+  void EnqueueTail(VmPage* page);
 
   // Removal. Return nullptr when empty.
   VmPage* DequeueHead();

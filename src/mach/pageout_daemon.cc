@@ -105,7 +105,6 @@ void PageoutDaemon::AddBootFrame(VmPage* page) {
 }
 
 void PageoutDaemon::Balance() {
-  sim::Nanos now = kernel_->clock().now();
   size_t examined = 0;
   size_t home = HomeShard();
 
@@ -127,8 +126,8 @@ void PageoutDaemon::Balance() {
       page->busy.store(true, std::memory_order_release);
       shard.active.Remove(page);
       active_total_.fetch_sub(1, std::memory_order_relaxed);
-      page->reference = false;
-      shard.inactive.EnqueueTail(page, now);
+      page->reference.store(false, std::memory_order_relaxed);
+      shard.inactive.EnqueueTail(page);
       page->busy.store(false, std::memory_order_release);
       inactive_total_.fetch_add(1, std::memory_order_relaxed);
       ++examined;
@@ -148,10 +147,10 @@ void PageoutDaemon::Balance() {
       shard.inactive.Remove(page);
       inactive_total_.fetch_sub(1, std::memory_order_relaxed);
       ++examined;
-      if (page->reference) {
+      if (page->reference.load(std::memory_order_relaxed)) {
         // Referenced while inactive: give it a second chance on the active queue.
-        page->reference = false;
-        shard.active.EnqueueTail(page, now);
+        page->reference.store(false, std::memory_order_relaxed);
+        shard.active.EnqueueTail(page);
         active_total_.fetch_add(1, std::memory_order_relaxed);
         page->busy.store(false, std::memory_order_release);
         counters_.Add(kCtrSecondChances);
@@ -160,13 +159,13 @@ void PageoutDaemon::Balance() {
       if (!kernel_->EvictPage(page, /*flush_if_dirty=*/true)) {
         // Real-threads mode only: the mapping task's lock was busy (try edge). Park the page
         // on the active queue and move on; the inactive queue shrank, so the loop terminates.
-        shard.active.EnqueueTail(page, now);
+        shard.active.EnqueueTail(page);
         active_total_.fetch_add(1, std::memory_order_relaxed);
         page->busy.store(false, std::memory_order_release);
         counters_.Add(kCtrEvictLockMisses);
         continue;
       }
-      pool_.Put(page, now);
+      pool_.Put(page);
       page->busy.store(false, std::memory_order_release);
       counters_.Add(kCtrEvictions);
     }
@@ -187,7 +186,7 @@ VmPage* PageoutDaemon::AllocForFault() {
     kernel_->NotifyMemoryPressure();
   }
   FrameMagazine* magazine = ThreadMagazine();
-  VmPage* page = magazine != nullptr ? magazine->Take(kernel_->clock().now()) : pool_.Take();
+  VmPage* page = magazine != nullptr ? magazine->Take() : pool_.Take();
   if (page == nullptr) {
     Balance();
     page = pool_.Take();
@@ -197,7 +196,6 @@ VmPage* PageoutDaemon::AllocForFault() {
       // active queue and keep scanning. The per-shard budget (snapshot of its population)
       // bounds the walk: each iteration either succeeds or re-parks a page we will not
       // re-examine within budget, so the loop terminates.
-      sim::Nanos now = kernel_->clock().now();
       size_t home = HomeShard();
       for (size_t i = 0; i < shards_.size() && page == nullptr; ++i) {
         QueueShard& shard = *shards_[(home + i) % shards_.size()];
@@ -223,7 +221,7 @@ VmPage* PageoutDaemon::AllocForFault() {
             // thread, and nothing else can reach it until it is re-entered into an object.
             victim->busy.store(false, std::memory_order_release);
           } else {
-            shard.active.EnqueueTail(victim, now);
+            shard.active.EnqueueTail(victim);
             active_total_.fetch_add(1, std::memory_order_relaxed);
             victim->busy.store(false, std::memory_order_release);
             counters_.Add(kCtrEvictLockMisses);
@@ -248,7 +246,6 @@ bool PageoutDaemon::AllocFramesForManager(size_t n, PageQueue* out, void* owner)
   if (AvailableForManager() < n) {
     return false;
   }
-  sim::Nanos now = kernel_->clock().now();
   // Collect first, commit second: concurrent fault threads can race the admission check
   // above (it reads the relaxed pool count), so a shortfall puts everything back.
   std::vector<VmPage*> got;
@@ -262,14 +259,14 @@ bool PageoutDaemon::AllocFramesForManager(size_t n, PageQueue* out, void* owner)
   }
   if (got.size() < n) {
     for (VmPage* page : got) {
-      pool_.Put(page, now);
+      pool_.Put(page);
     }
     return false;
   }
   for (VmPage* page : got) {
     page->owner = owner;
     page->user_word = 0;  // policy scratch must not leak between owners
-    out->EnqueueTail(page, now);
+    out->EnqueueTail(page);
   }
   counters_.Add(kCtrFramesToManager, static_cast<int64_t>(n));
   return true;
@@ -281,22 +278,21 @@ void PageoutDaemon::ReturnFrame(VmPage* page) {
   HIPEC_CHECK_MSG(page->object == nullptr, "frame still resident in an object");
   HIPEC_CHECK_MSG(!page->has_mapping, "frame still mapped");
   page->owner = nullptr;
-  page->reference = false;
+  page->reference.store(false, std::memory_order_relaxed);
   page->modified = false;
   page->wired = false;
-  sim::Nanos now = kernel_->clock().now();
   FrameMagazine* magazine = ThreadMagazine();
   if (magazine != nullptr) {
-    magazine->Put(page, now);
+    magazine->Put(page);
   } else {
-    pool_.Put(page, now);
+    pool_.Put(page);
   }
 }
 
 void PageoutDaemon::Activate(VmPage* page) {
   QueueShard& shard = *shards_[HomeShard()];
   sim::ScopedLock lock(shard.mu);
-  shard.active.EnqueueTail(page, kernel_->clock().now());
+  shard.active.EnqueueTail(page);
   active_total_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -327,7 +323,7 @@ void PageoutDaemon::ReactivateIfInactive(VmPage* page) {
     }
     shard->inactive.Remove(page);
     inactive_total_.fetch_sub(1, std::memory_order_relaxed);
-    shard->active.EnqueueTail(page, kernel_->clock().now());
+    shard->active.EnqueueTail(page);
     active_total_.fetch_add(1, std::memory_order_relaxed);
     return;
   }

@@ -46,15 +46,16 @@ struct VmPage {
   // residency — spins on it so "queue == nullptr" is never mistaken for "off every queue"
   // while a concurrent balance pass is mid-transition.
   std::atomic<bool> busy{false};
-  bool reference = false;  // pmap-emulated reference bit
+  // pmap-emulated reference bit. Atomic, every access relaxed: like the hardware bit it
+  // models, the accessing thread sets it under its task's lock while the pageout daemon
+  // samples and clears it under a queue-shard lock, so the two sides share no lock.
+  std::atomic<bool> reference{false};
   bool modified = false;   // pmap-emulated modify (dirty) bit
 
   // Simulator-maintained recency, used by the LRU/MRU complex commands. On real Mach this is
   // approximated with reference-bit sampling (Draves, "Page Replacement and Reference Bit
   // Emulation in Mach"); the simulator can afford exact times.
   sim::Nanos last_reference_ns = 0;
-  // Time this page was appended to its current queue (FIFO arrival order).
-  sim::Nanos enqueue_ns = 0;
   // Policy-visible per-page scratch word: written/read by the PageWord command and ranked by
   // WeightedSelect. Belongs to the owning container's policy; zeroed whenever the frame is
   // granted to a new owner so scores never leak between containers.

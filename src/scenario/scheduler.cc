@@ -363,7 +363,7 @@ class Scheduler {
       // Flush inside the world lock: the auditor must never catch frames mid-transfer, and
       // destruction unregisters the magazine from the pool's accounting.
       sim::SharedWorldGuard world(kernel_->world());
-      magazine->Flush(kernel_->clock().now());
+      magazine->Flush();
       magazine.reset();
     }
   }

@@ -5,9 +5,9 @@
 // execution mode locks are constructed disabled and every operation is a single predictable
 // branch — the reference mode stays bit-for-bit identical to the pre-concurrency code and
 // pays no synchronization cost. In the real-threads mode locks are real recursive mutexes,
-// and (in debug builds) each blocking acquisition asserts that the calling thread holds no
-// lock of an equal or higher rank, so a lock-order inversion fails loudly instead of
-// deadlocking once in a thousand runs.
+// and each blocking acquisition asserts — in every build, Release included — that the
+// calling thread holds no lock of an equal or higher rank, so a lock-order inversion fails
+// loudly instead of deadlocking once in a thousand runs.
 //
 // Two deliberate escapes from strict ordering:
 //   * Recursion: the same thread may re-acquire a lock it holds (std::recursive_mutex).
@@ -20,8 +20,10 @@
 #ifndef HIPEC_SIM_LOCK_H_
 #define HIPEC_SIM_LOCK_H_
 
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 namespace hipec::sim {
@@ -163,38 +165,67 @@ class ScopedBackoffTryLock {
 // Stop-the-world lock for the real-threads auditor: fault threads hold it shared around each
 // access; the auditor takes it exclusive, observes a quiesced kernel, and releases. Disabled
 // (all no-ops) in deterministic mode, where per-decision auditing is synchronous anyway.
-// Conceptually rank 0: acquired before any OrderedMutex and never while holding one.
+// Conceptually rank 0: acquired before any OrderedMutex and never while holding one (a fresh
+// shared acquisition checks this; an exclusive one checks the caller is not a reader).
+//
+// Shared holds are per-thread reader slots rather than one reader count: a thread is striped
+// onto one of kSlots cache-line-aligned counters, so concurrent readers on different cores
+// never write the same line. A writer raises `writer_`, then waits for every slot to drain;
+// a fresh reader increments its slot and backs out (and sleeps until the writer leaves) if
+// it then sees the flag. Both sides use sequentially consistent operations, so at least one
+// of them sees the other — the writer waits, or the reader backs out.
+//
+// Re-entry: a thread already inside re-enters without touching its slot or checking the flag
+// (a per-thread depth records it). A writer waiting for that thread to leave therefore never
+// blocks its nested acquisition, so nested shared holds cannot deadlock against a writer.
 class WorldLock {
  public:
+  static constexpr size_t kSlots = 64;
+
   explicit WorldLock(bool enabled = false) : enabled_(enabled) {}
+  WorldLock(const WorldLock&) = delete;
+  WorldLock& operator=(const WorldLock&) = delete;
 
   // Flip live before any thread contends (kernel construction time).
   void Enable(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
+  // True while a writer waits for readers to drain or holds the lock (a racy snapshot).
+  bool writer_active() const { return writer_.load(std::memory_order_acquire) != 0; }
 
   void lock_shared() {
     if (enabled_) {
-      mu_.lock_shared();
+      LockShared();
     }
   }
   void unlock_shared() {
     if (enabled_) {
-      mu_.unlock_shared();
+      UnlockShared();
     }
   }
   void lock() {
     if (enabled_) {
-      mu_.lock();
+      LockExclusive();
     }
   }
   void unlock() {
     if (enabled_) {
-      mu_.unlock();
+      UnlockExclusive();
     }
   }
 
  private:
-  std::shared_mutex mu_;
+  struct alignas(64) Slot {
+    std::atomic<int64_t> readers{0};
+  };
+
+  void LockShared();
+  void UnlockShared();
+  void LockExclusive();
+  void UnlockExclusive();
+
+  Slot slots_[kSlots];
+  alignas(64) std::atomic<uint32_t> writer_{0};  // 1 while a writer waits or holds
+  std::mutex writer_mu_;                          // one writer at a time
   bool enabled_;
 };
 

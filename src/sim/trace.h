@@ -1,5 +1,6 @@
-// A lightweight execution tracer: fixed-capacity ring buffer of typed events with virtual
-// timestamps. Free when disabled (one branch per hook); when enabled, subsystems record
+// A lightweight execution tracer: fixed-capacity ring buffer of typed events stamped with
+// the owning kernel's clock. Free when disabled (one branch per hook, and the clock is read
+// only once the tracer is known to be on); when enabled, subsystems record
 // faults, evictions, policy events, reclamations, checker activity, and IPC — the record a
 // policy author reads to understand what their replacement policy actually did.
 #ifndef HIPEC_SIM_TRACE_H_
@@ -44,23 +45,25 @@ struct TraceEvent {
 // branch per hook in either mode.
 class Tracer {
  public:
-  explicit Tracer(size_t capacity = 4096) : capacity_(capacity) {}
+  // Events are stamped with `clock`'s now(), which must outlive the tracer.
+  explicit Tracer(const Clock& clock, size_t capacity = 4096)
+      : clock_(&clock), capacity_(capacity) {}
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void Enable() { enabled_.store(true, std::memory_order_relaxed); }
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   void EnableConcurrent() { concurrent_ = true; }
 
-  void Record(Nanos time, TraceCategory category, uint16_t code, uint64_t a, uint64_t b) {
+  void Record(TraceCategory category, uint16_t code, uint64_t a, uint64_t b) {
     if (!enabled()) {
       return;
     }
     if (concurrent_) {
       std::lock_guard<std::mutex> lock(mu_);
-      RecordLocked(time, category, code, a, b);
+      RecordLocked(category, code, a, b);
       return;
     }
-    RecordLocked(time, category, code, a, b);
+    RecordLocked(category, code, a, b);
   }
 
   // Events in chronological order (oldest surviving first).
@@ -89,8 +92,8 @@ class Tracer {
   }
 
  private:
-  void RecordLocked(Nanos time, TraceCategory category, uint16_t code, uint64_t a,
-                    uint64_t b) {
+  void RecordLocked(TraceCategory category, uint16_t code, uint64_t a, uint64_t b) {
+    const Nanos time = clock_->now();
     if (events_.size() < capacity_) {
       events_.push_back(TraceEvent{time, category, code, a, b});
     } else {
@@ -100,6 +103,7 @@ class Tracer {
     ++total_recorded_;
   }
 
+  const Clock* clock_;
   size_t capacity_;
   std::atomic<bool> enabled_{false};
   bool concurrent_ = false;

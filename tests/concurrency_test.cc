@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -185,6 +186,143 @@ TEST(WorldLockTest, ExclusiveHolderSeesNoSharedHolders) {
   EXPECT_EQ(audits_clean.load(), 200);
 }
 
+// Polls `done` for up to five seconds; a hang in the lock shows up as a failed wait.
+bool WaitFor(const std::atomic<bool>& done) {
+  for (int i = 0; i < 5000 && !done.load(std::memory_order_acquire); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done.load(std::memory_order_acquire);
+}
+
+TEST(WorldLockTest, WriterExcludesNewReaders) {
+  sim::WorldLock world(/*enabled=*/true);
+  std::atomic<bool> reader_in{false};
+  world.lock();
+  std::thread reader([&] {
+    sim::SharedWorldGuard guard(world);
+    reader_in.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(reader_in.load(std::memory_order_acquire));
+  world.unlock();
+  EXPECT_TRUE(WaitFor(reader_in));
+  reader.join();
+}
+
+TEST(WorldLockTest, WriterWaitsForInFlightReaders) {
+  sim::WorldLock world(/*enabled=*/true);
+  std::atomic<bool> reader_inside{false};
+  std::atomic<bool> release_reader{false};
+  std::atomic<bool> writer_in{false};
+  std::thread reader([&] {
+    sim::SharedWorldGuard guard(world);
+    reader_inside.store(true, std::memory_order_release);
+    while (!release_reader.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_TRUE(WaitFor(reader_inside));
+  std::thread writer([&] {
+    sim::ExclusiveWorldGuard guard(world);
+    writer_in.store(true, std::memory_order_release);
+  });
+  while (!world.writer_active()) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(writer_in.load(std::memory_order_acquire));  // the reader is still inside
+  release_reader.store(true, std::memory_order_release);
+  EXPECT_TRUE(WaitFor(writer_in));
+  reader.join();
+  writer.join();
+}
+
+TEST(WorldLockTest, SharedReentryWhileWriterWaitsDoesNotDeadlock) {
+  // A kernel entry that nests another (VmWire -> Touch) re-takes the world shared. With a
+  // writer already waiting for this very reader to leave, the nested acquisition must not
+  // queue behind the writer.
+  sim::WorldLock world(/*enabled=*/true);
+  std::atomic<bool> reader_inside{false};
+  std::atomic<bool> reentered{false};
+  std::atomic<bool> writer_in{false};
+  std::thread reader([&] {
+    sim::SharedWorldGuard outer(world);
+    reader_inside.store(true, std::memory_order_release);
+    while (!world.writer_active()) {
+      std::this_thread::yield();
+    }
+    sim::SharedWorldGuard inner(world);
+    reentered.store(true, std::memory_order_release);
+  });
+  ASSERT_TRUE(WaitFor(reader_inside));
+  std::thread writer([&] {
+    sim::ExclusiveWorldGuard guard(world);
+    writer_in.store(true, std::memory_order_release);
+  });
+  EXPECT_TRUE(WaitFor(reentered));
+  EXPECT_TRUE(WaitFor(writer_in));  // and the writer gets in once both holds are released
+  reader.join();
+  writer.join();
+}
+
+TEST(WorldLockTest, MisorderedAcquisitionsThrowInsteadOfDeadlocking) {
+  // The world is rank 0: taken before any OrderedMutex. A fresh shared acquisition under a
+  // held mutex could block behind a waiting writer while a reader waits for that mutex.
+  sim::WorldLock world(/*enabled=*/true);
+  sim::OrderedMutex task_mu(sim::LockRank::kTask, /*enabled=*/true);
+  {
+    sim::ScopedLock lock(task_mu);
+    EXPECT_THROW(world.lock_shared(), sim::CheckFailure);
+  }
+  sim::SharedWorldGuard outer(world);
+  // A writer that is itself a reader would wait for its own slot forever.
+  EXPECT_THROW(world.lock(), sim::CheckFailure);
+  // Re-entry under a mutex is fine: it never waits on a writer.
+  sim::ScopedLock lock(task_mu);
+  sim::SharedWorldGuard inner(world);
+}
+
+TEST(WorldLockTest, EightThreadReaderWriterHammerNeverOverlaps) {
+  sim::WorldLock world(/*enabled=*/true);
+  std::atomic<int> readers_inside{0};
+  std::atomic<int> writers_inside{0};
+  std::atomic<int64_t> overlaps{0};
+  std::atomic<int64_t> writes{0};
+  constexpr int kOps = 4'000;
+  HammerFromThreads(kThreads, [&](int t) {
+    std::mt19937 rng(static_cast<uint32_t>(t) * 7919 + 1);
+    for (int i = 0; i < kOps; ++i) {
+      const uint32_t roll = rng() % 64;
+      if (roll == 0) {
+        sim::ExclusiveWorldGuard guard(world);
+        if (writers_inside.fetch_add(1, std::memory_order_acq_rel) != 0 ||
+            readers_inside.load(std::memory_order_acquire) != 0) {
+          overlaps.fetch_add(1, std::memory_order_relaxed);
+        }
+        writers_inside.fetch_sub(1, std::memory_order_acq_rel);
+        writes.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      sim::SharedWorldGuard guard(world);
+      readers_inside.fetch_add(1, std::memory_order_acq_rel);
+      if (writers_inside.load(std::memory_order_acquire) != 0) {
+        overlaps.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (roll < 8) {
+        sim::SharedWorldGuard nested(world);  // nested entries, as VmWire -> Touch
+        if (writers_inside.load(std::memory_order_acquire) != 0) {
+          overlaps.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      readers_inside.fetch_sub(1, std::memory_order_acq_rel);
+    }
+  });
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_GT(writes.load(), 0);
+  EXPECT_EQ(readers_inside.load(), 0);
+  EXPECT_FALSE(world.writer_active());
+}
+
 TEST(RealClockTest, NowIsMonotonicAndStartsNearZero)  {
   sim::RealClock clock;
   EXPECT_FALSE(clock.deterministic());
@@ -309,14 +447,13 @@ TEST(FrameMagazineTest, TakePutFlushConservesFrames) {
   mach::Kernel kernel(params);
   mach::ShardedFramePool& pool = kernel.daemon().free_pool();
   const size_t boot_free = pool.count();
-  const sim::Nanos now = kernel.clock().now();
 
   mach::FrameMagazine magazine(&pool, /*capacity=*/8, "conctest_magazine");
   // An empty magazine refills a half-capacity batch from the pool on the first Take.
-  mach::VmPage* page = magazine.Take(now);
+  mach::VmPage* page = magazine.Take();
   ASSERT_NE(page, nullptr);
   EXPECT_EQ(magazine.count() + pool.count() + 1, boot_free);
-  magazine.Put(page, now);
+  magazine.Put(page);
   // Cached frames still count as global_free in the conservation snapshot — the magazine
   // registry lets Owns() classify them.
   mach::FrameAccounting acc = kernel.ComputeFrameAccounting();
@@ -329,10 +466,10 @@ TEST(FrameMagazineTest, TakePutFlushConservesFrames) {
     held.push_back(p);
   }
   for (mach::VmPage* p : held) {
-    magazine.Put(p, now);
+    magazine.Put(p);
     EXPECT_LE(magazine.count(), magazine.capacity());
   }
-  magazine.Flush(now);
+  magazine.Flush();
   EXPECT_EQ(magazine.count(), 0u);
   EXPECT_EQ(pool.count(), boot_free);
 }
@@ -393,7 +530,7 @@ TEST(PageoutDaemonShardingTest, EightThreadDirectAllocReturnBalanceHammer) {
     }
     if (magazine != nullptr) {
       daemon.DetachThreadMagazine();
-      magazine->Flush(kernel.clock().now());
+      magazine->Flush();
     }
   });
 

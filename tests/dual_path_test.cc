@@ -136,7 +136,7 @@ void ExerciseTable2PolicyPaths(const std::function<PolicyProgram()>& make_progra
   Container* ca = MakePathContainer(ir, make_program(), options, a);
   Container* cb = MakePathContainer(sw, make_program(), options, b);
 
-  auto after_fault = [](World& w, Container* c, const ExecResult& result, int round) {
+  auto after_fault = [](Container* c, const ExecResult& result, int round) {
     if (c->operands().TypeOf(result.return_operand) != OperandType::kPage) {
       return;
     }
@@ -144,9 +144,9 @@ void ExerciseTable2PolicyPaths(const std::function<PolicyProgram()>& make_progra
     if (page == nullptr || page->owner != c || page->queue != nullptr) {
       return;
     }
-    page->reference = round % 2 == 0;
+    page->reference.store(round % 2 == 0, std::memory_order_relaxed);
     page->modified = round % 3 == 0;
-    c->active_q().EnqueueTail(page, w.kernel.clock().now());
+    c->active_q().EnqueueTail(page);
     c->operands().WritePage(result.return_operand, nullptr);
   };
 
@@ -157,8 +157,8 @@ void ExerciseTable2PolicyPaths(const std::function<PolicyProgram()>& make_progra
     if (result.outcome != ExecOutcome::kOk) {
       break;  // identical failure in both worlds (checked above) — parity still holds
     }
-    after_fault(ir, ca, result, round);
-    after_fault(sw, cb, result, round);
+    after_fault(ca, result, round);
+    after_fault(cb, result, round);
   }
 
   ca->operands().WriteInt(ops::kReclaimCount, 2);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "hipec/builder.h"
@@ -71,10 +72,19 @@ class ExecutorTest : public ::testing::Test {
 
 // ---------------------------------------------------------------- Arith / Comp / Logic
 
+// gtest_discover_tests names each case after the raw bytes of its parameter. Copies of a struct
+// need not carry its padding, so stray stack bytes would land in the test names; the zeroed
+// spacer fields leave the case structs without padding, and the names the same on every run.
 struct ArithCase {
   ArithOp op;
+  uint8_t spacer[7];
   int64_t lhs, rhs, expected;
 };
+static_assert(std::has_unique_object_representations_v<ArithCase>);
+
+ArithCase Arith(ArithOp op, int64_t lhs, int64_t rhs, int64_t expected) {
+  return ArithCase{op, {}, lhs, rhs, expected};
+}
 
 class ArithTest : public ExecutorTest, public ::testing::WithParamInterface<ArithCase> {};
 
@@ -91,13 +101,13 @@ TEST_P(ArithTest, ComputesInPlace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOps, ArithTest,
-                         ::testing::Values(ArithCase{ArithOp::kAdd, 7, 3, 10},
-                                           ArithCase{ArithOp::kSub, 7, 3, 4},
-                                           ArithCase{ArithOp::kMul, 7, 3, 21},
-                                           ArithCase{ArithOp::kDiv, 7, 3, 2},
-                                           ArithCase{ArithOp::kMod, 7, 3, 1},
-                                           ArithCase{ArithOp::kMov, 7, 3, 3},
-                                           ArithCase{ArithOp::kSub, 3, 7, -4}));
+                         ::testing::Values(Arith(ArithOp::kAdd, 7, 3, 10),
+                                           Arith(ArithOp::kSub, 7, 3, 4),
+                                           Arith(ArithOp::kMul, 7, 3, 21),
+                                           Arith(ArithOp::kDiv, 7, 3, 2),
+                                           Arith(ArithOp::kMod, 7, 3, 1),
+                                           Arith(ArithOp::kMov, 7, 3, 3),
+                                           Arith(ArithOp::kSub, 3, 7, -4)));
 
 TEST_F(ExecutorTest, LoadImmediate) {
   EventBuilder b;
@@ -120,9 +130,16 @@ TEST_F(ExecutorTest, DivisionByZeroIsPolicyError) {
 
 struct CompCase {
   CompOp op;
+  uint8_t spacer[7];
   int64_t lhs, rhs;
   bool expected;
+  uint8_t tail_spacer[7];
 };
+static_assert(std::has_unique_object_representations_v<CompCase>);
+
+CompCase Comp(CompOp op, int64_t lhs, int64_t rhs, bool expected) {
+  return CompCase{op, {}, lhs, rhs, expected, {}};
+}
 
 class CompTest : public ExecutorTest, public ::testing::WithParamInterface<CompCase> {};
 
@@ -144,12 +161,12 @@ TEST_P(CompTest, SetsConditionFlag) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOps, CompTest,
-    ::testing::Values(CompCase{CompOp::kGt, 5, 3, true}, CompCase{CompOp::kGt, 3, 3, false},
-                      CompCase{CompOp::kLt, 2, 3, true}, CompCase{CompOp::kLt, 3, 3, false},
-                      CompCase{CompOp::kEq, 3, 3, true}, CompCase{CompOp::kEq, 2, 3, false},
-                      CompCase{CompOp::kNe, 2, 3, true}, CompCase{CompOp::kNe, 3, 3, false},
-                      CompCase{CompOp::kGe, 3, 3, true}, CompCase{CompOp::kGe, 2, 3, false},
-                      CompCase{CompOp::kLe, 3, 3, true}, CompCase{CompOp::kLe, 4, 3, false}));
+    ::testing::Values(Comp(CompOp::kGt, 5, 3, true), Comp(CompOp::kGt, 3, 3, false),
+                      Comp(CompOp::kLt, 2, 3, true), Comp(CompOp::kLt, 3, 3, false),
+                      Comp(CompOp::kEq, 3, 3, true), Comp(CompOp::kEq, 2, 3, false),
+                      Comp(CompOp::kNe, 2, 3, true), Comp(CompOp::kNe, 3, 3, false),
+                      Comp(CompOp::kGe, 3, 3, true), Comp(CompOp::kGe, 2, 3, false),
+                      Comp(CompOp::kLe, 3, 3, true), Comp(CompOp::kLe, 4, 3, false)));
 
 TEST_F(ExecutorTest, NonTestCommandClearsConditionFlag) {
   // Comp makes the flag true; LoadImm (non-test) clears it; the Jump is then taken — this is
@@ -452,9 +469,9 @@ TEST_P(ComplexCommandTest, EvictsAccordingToPolicy) {
   mach::VmPage* p0 = c->free_q().DequeueHead();
   mach::VmPage* p1 = c->free_q().DequeueHead();
   mach::VmPage* p2 = c->free_q().DequeueHead();
-  c->active_q().EnqueueTail(p0, 0);
-  c->active_q().EnqueueTail(p1, 1);
-  c->active_q().EnqueueTail(p2, 2);
+  c->active_q().EnqueueTail(p0);
+  c->active_q().EnqueueTail(p1);
+  c->active_q().EnqueueTail(p2);
   p1->last_reference_ns = 10;
   p2->last_reference_ns = 20;
   p0->last_reference_ns = 30;

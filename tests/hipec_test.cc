@@ -109,7 +109,7 @@ TEST(OperandArrayTest, QueueCountIsLiveView) {
   a.DefineQueueCount(5, &q);
   EXPECT_EQ(a.ReadInt(5), 0);
   mach::VmPage page;
-  q.EnqueueTail(&page, 0);
+  q.EnqueueTail(&page);
   EXPECT_EQ(a.ReadInt(5), 1);
   EXPECT_THROW(a.WriteInt(5, 3), PolicyError);
 }

@@ -58,9 +58,9 @@ TEST(ZoneTest, GrowsInChunks) {
 TEST(PageQueueTest, FifoOrder) {
   PageQueue q("q");
   VmPage a, b, c;
-  q.EnqueueTail(&a, 0);
-  q.EnqueueTail(&b, 1);
-  q.EnqueueTail(&c, 2);
+  q.EnqueueTail(&a);
+  q.EnqueueTail(&b);
+  q.EnqueueTail(&c);
   EXPECT_EQ(q.count(), 3u);
   EXPECT_EQ(q.DequeueHead(), &a);
   EXPECT_EQ(q.DequeueHead(), &b);
@@ -71,8 +71,8 @@ TEST(PageQueueTest, FifoOrder) {
 TEST(PageQueueTest, HeadInsertAndTailRemove) {
   PageQueue q("q");
   VmPage a, b;
-  q.EnqueueHead(&a, 0);
-  q.EnqueueHead(&b, 0);  // b, a
+  q.EnqueueHead(&a);
+  q.EnqueueHead(&b);  // b, a
   EXPECT_EQ(q.DequeueTail(), &a);
   EXPECT_EQ(q.DequeueTail(), &b);
 }
@@ -80,9 +80,9 @@ TEST(PageQueueTest, HeadInsertAndTailRemove) {
 TEST(PageQueueTest, RemoveFromMiddle) {
   PageQueue q("q");
   VmPage a, b, c;
-  q.EnqueueTail(&a, 0);
-  q.EnqueueTail(&b, 0);
-  q.EnqueueTail(&c, 0);
+  q.EnqueueTail(&a);
+  q.EnqueueTail(&b);
+  q.EnqueueTail(&c);
   q.Remove(&b);
   EXPECT_EQ(q.count(), 2u);
   EXPECT_EQ(q.CountByTraversal(), 2u);
@@ -94,15 +94,15 @@ TEST(PageQueueTest, RemoveFromMiddle) {
 TEST(PageQueueTest, DoubleEnqueueThrows) {
   PageQueue q("q"), r("r");
   VmPage a;
-  q.EnqueueTail(&a, 0);
-  EXPECT_THROW(r.EnqueueTail(&a, 0), sim::CheckFailure);
-  EXPECT_THROW(q.EnqueueHead(&a, 0), sim::CheckFailure);
+  q.EnqueueTail(&a);
+  EXPECT_THROW(r.EnqueueTail(&a), sim::CheckFailure);
+  EXPECT_THROW(q.EnqueueHead(&a), sim::CheckFailure);
 }
 
 TEST(PageQueueTest, RemoveFromWrongQueueThrows) {
   PageQueue q("q"), r("r");
   VmPage a;
-  q.EnqueueTail(&a, 0);
+  q.EnqueueTail(&a);
   EXPECT_THROW(r.Remove(&a), sim::CheckFailure);
 }
 
@@ -110,7 +110,7 @@ TEST(PageQueueTest, ContainsTracksMembership) {
   PageQueue q("q");
   VmPage a;
   EXPECT_FALSE(q.Contains(&a));
-  q.EnqueueTail(&a, 0);
+  q.EnqueueTail(&a);
   EXPECT_TRUE(q.Contains(&a));
 }
 
@@ -118,7 +118,7 @@ TEST(PageQueueTest, ForEachVisitsInOrder) {
   PageQueue q("q");
   VmPage pages[5];
   for (auto& p : pages) {
-    q.EnqueueTail(&p, 0);
+    q.EnqueueTail(&p);
   }
   std::vector<VmPage*> seen;
   q.ForEach([&](VmPage* p) {
@@ -430,7 +430,7 @@ TEST(KernelTest, SoftFaultAfterUnmapIsCheap) {
   ASSERT_NE(page, nullptr);
   kernel.pmap().RemovePage(page);
   page->queue.load()->Remove(page);
-  kernel.daemon().inactive_queue().EnqueueTail(page, kernel.clock().now());
+  kernel.daemon().inactive_queue().EnqueueTail(page);
   int64_t soft_before = kernel.counters().Get("kernel.soft_faults");
   EXPECT_TRUE(kernel.Touch(task, addr, false));
   EXPECT_EQ(kernel.counters().Get("kernel.soft_faults"), soft_before + 1);

@@ -303,10 +303,12 @@ TEST(ChromeTraceTest, SchemaAndTrackRouting) {
 // -------------------------------------------------------------------------- flight recorder
 
 TEST(FlightRecorderTest, SnapshotWindowsAndAccounting) {
-  sim::Tracer tracer(/*capacity=*/8);
+  sim::VirtualClock clock;
+  sim::Tracer tracer(clock, /*capacity=*/8);
   tracer.Enable();
   for (int i = 0; i < 20; ++i) {
-    tracer.Record(i * 100, sim::TraceCategory::kFault, 0, 1, static_cast<uint64_t>(i));
+    clock.AdvanceTo(i * 100);
+    tracer.Record(sim::TraceCategory::kFault, 0, 1, static_cast<uint64_t>(i));
   }
   FlightRecorder recorder(&tracer, /*last_events=*/4);
   ProbeSet probes;

@@ -277,7 +277,7 @@ TEST_F(AuditorDetectionTest, DetectsStolenFrame) {
   AuditReport report = AuditFrameInvariants(engine_);
   EXPECT_FALSE(report.ok);
   page->owner = owner;
-  region_.container->free_q().EnqueueTail(page, kernel_.clock().now());
+  region_.container->free_q().EnqueueTail(page);
   EXPECT_TRUE(AuditFrameInvariants(engine_).ok);
 }
 

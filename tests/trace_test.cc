@@ -1,6 +1,9 @@
 // Tests for the execution tracer and its hooks across the kernel and the HiPEC engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "hipec/engine.h"
 #include "mach/kernel.h"
 #include "policies/policies.h"
@@ -11,30 +14,63 @@ namespace {
 
 using mach::kPageSize;
 
+// A clock that counts its reads, to show the tracer stamps events itself and only when on.
+class CountingClock final : public Clock {
+ public:
+  Nanos now() const override {
+    ++reads;
+    return time;
+  }
+  void Advance(Nanos delta) override { time += delta; }
+  void AdvanceTo(Nanos when) override { time = std::max(time, when); }
+  EventId ScheduleAt(Nanos, Callback, std::string) override { return 0; }
+  EventId ScheduleAfter(Nanos, Callback, std::string) override { return 0; }
+  bool Cancel(EventId) override { return false; }
+  size_t pending_events() const override { return 0; }
+  Nanos next_deadline() const override { return -1; }
+  bool deterministic() const override { return true; }
+
+  Nanos time = 0;
+  mutable int reads = 0;
+};
+
 TEST(TracerTest, DisabledByDefaultAndFree) {
-  Tracer tracer;
-  tracer.Record(1, TraceCategory::kFault, 0, 1, 2);
+  CountingClock clock;
+  Tracer tracer(clock);
+  tracer.Record(TraceCategory::kFault, 0, 1, 2);
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(tracer.total_recorded(), 0u);
+  EXPECT_EQ(clock.reads, 0);  // a disabled tracer never reads the clock
+
+  tracer.Enable();
+  clock.time = 42;
+  tracer.Record(TraceCategory::kFault, 0, 1, 2);
+  EXPECT_EQ(clock.reads, 1);
+  ASSERT_EQ(tracer.size(), 1u);
+  EXPECT_EQ(tracer.Snapshot().front().time, 42);
 }
 
 TEST(TracerTest, RecordsInOrder) {
-  Tracer tracer(8);
+  VirtualClock clock;
+  Tracer tracer(clock, 8);
   tracer.Enable();
   for (uint64_t i = 0; i < 5; ++i) {
-    tracer.Record(static_cast<Nanos>(i * 10), TraceCategory::kFault, 0, i, 0);
+    clock.AdvanceTo(static_cast<Nanos>(i * 10));
+    tracer.Record(TraceCategory::kFault, 0, i, 0);
   }
   auto events = tracer.Snapshot();
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events.front().a, 0u);
   EXPECT_EQ(events.back().a, 4u);
+  EXPECT_EQ(events.back().time, 40);  // stamped with the clock's time at Record
 }
 
 TEST(TracerTest, RingBufferKeepsNewest) {
-  Tracer tracer(4);
+  VirtualClock clock;
+  Tracer tracer(clock, 4);
   tracer.Enable();
   for (uint64_t i = 0; i < 10; ++i) {
-    tracer.Record(static_cast<Nanos>(i), TraceCategory::kEviction, 0, i, 0);
+    tracer.Record(TraceCategory::kEviction, 0, i, 0);
   }
   auto events = tracer.Snapshot();
   ASSERT_EQ(events.size(), 4u);
@@ -44,14 +80,15 @@ TEST(TracerTest, RingBufferKeepsNewest) {
 }
 
 TEST(TracerTest, DroppedCountsOverwrittenEvents) {
-  Tracer tracer(4);
+  VirtualClock clock;
+  Tracer tracer(clock, 4);
   tracer.Enable();
   for (uint64_t i = 0; i < 3; ++i) {
-    tracer.Record(static_cast<Nanos>(i), TraceCategory::kFault, 0, i, 0);
+    tracer.Record(TraceCategory::kFault, 0, i, 0);
   }
   EXPECT_EQ(tracer.dropped(), 0u);  // ring not yet full
   for (uint64_t i = 3; i < 10; ++i) {
-    tracer.Record(static_cast<Nanos>(i), TraceCategory::kFault, 0, i, 0);
+    tracer.Record(TraceCategory::kFault, 0, i, 0);
   }
   EXPECT_EQ(tracer.total_recorded(), 10u);
   EXPECT_EQ(tracer.size(), 4u);
@@ -61,11 +98,15 @@ TEST(TracerTest, DroppedCountsOverwrittenEvents) {
 }
 
 TEST(TracerTest, DumpJsonCarriesDropAccountingAndEvents) {
-  Tracer tracer(2);
+  VirtualClock clock;
+  Tracer tracer(clock, 2);
   tracer.Enable();
-  tracer.Record(5, TraceCategory::kFault, 0, 1, 0x1000);
-  tracer.Record(6, TraceCategory::kReclaim, 1, 7, 3);
-  tracer.Record(7, TraceCategory::kChecker, 1, 9, 0);
+  clock.AdvanceTo(5);
+  tracer.Record(TraceCategory::kFault, 0, 1, 0x1000);
+  clock.AdvanceTo(6);
+  tracer.Record(TraceCategory::kReclaim, 1, 7, 3);
+  clock.AdvanceTo(7);
+  tracer.Record(TraceCategory::kChecker, 1, 9, 0);
   std::string json = tracer.DumpJson();
   // Drop accounting is the point: a reader must be able to tell the record is partial.
   EXPECT_NE(json.find("\"total_recorded\":3"), std::string::npos) << json;
@@ -82,11 +123,12 @@ TEST(TracerTest, DumpJsonCarriesDropAccountingAndEvents) {
 }
 
 TEST(TracerTest, CategoryFilterAndDump) {
-  Tracer tracer(16);
+  VirtualClock clock;
+  Tracer tracer(clock, 16);
   tracer.Enable();
-  tracer.Record(1, TraceCategory::kFault, 0, 1, 0x1000);
-  tracer.Record(2, TraceCategory::kEviction, 1, 7, 3);
-  tracer.Record(3, TraceCategory::kFault, 0, 1, 0x2000);
+  tracer.Record(TraceCategory::kFault, 0, 1, 0x1000);
+  tracer.Record(TraceCategory::kEviction, 1, 7, 3);
+  tracer.Record(TraceCategory::kFault, 0, 1, 0x2000);
   EXPECT_EQ(tracer.Snapshot(TraceCategory::kFault).size(), 2u);
   EXPECT_EQ(tracer.Snapshot(TraceCategory::kEviction).size(), 1u);
   std::string dump = tracer.Dump();
