@@ -1,6 +1,7 @@
-// Parallel fault-throughput benchmark: runs the real-threads scenario driver
-// (scenario/threaded.h) at 1/2/4/8 tenant threads and reports aggregate faults/sec, as a
-// human table and as JSON lines for the CI perf-smoke gate.
+// Parallel fault-throughput benchmark: runs the real-threads scenario runtime
+// (scenario/scheduler.h) with one worker per tenant at 1/2/4/8 threads and reports aggregate
+// faults/sec, then a 10,000-tenant churn over a fixed worker pool; as a human table and as
+// JSON lines for the CI perf-smoke gate.
 //
 // Weak scaling: each thread gets an identical tenant (same trace length, same working set)
 // and the machine grows with the thread count, so perfect scaling is a flat per-thread
@@ -17,7 +18,6 @@
 
 #include "bench_util.h"
 #include "scenario/scheduler.h"
-#include "scenario/threaded.h"
 #include "sim/clock.h"
 
 namespace {
@@ -28,15 +28,17 @@ using hipec::scenario::PolicyKind;
 using hipec::scenario::SchedulerResult;
 using hipec::scenario::SchedulerSpec;
 using hipec::scenario::TenantSpec;
-using hipec::scenario::ThreadedScenarioResult;
-using hipec::scenario::ThreadedScenarioSpec;
 
-ThreadedScenarioSpec MakeSpec(size_t threads, size_t accesses) {
-  ThreadedScenarioSpec spec;
+SchedulerSpec MakeSpec(size_t threads, size_t accesses) {
+  SchedulerSpec spec;
   spec.name = "parallel-" + std::to_string(threads) + "t";
   // Weak scaling: per-thread slice of the machine is constant across runs.
   spec.total_frames = 512 + 160 * threads;
   spec.kernel_reserved_frames = 128;
+  spec.seed = 0x7EA15;
+  // One worker per tenant, every tenant live from the start.
+  spec.workers = threads;
+  spec.max_live_tenants = threads;
   spec.audit = true;
   spec.audit_interval_ms = 10;
   for (size_t i = 0; i < threads; ++i) {
@@ -140,21 +142,22 @@ int main(int argc, char** argv) {
   std::map<size_t, double> faults_per_sec;
   JsonLine json;
   for (size_t threads : {1, 2, 4, 8}) {
-    ThreadedScenarioResult r =
-        hipec::scenario::RunThreadedScenario(MakeSpec(threads, accesses));
+    SchedulerResult r = hipec::scenario::RunScheduledScenario(MakeSpec(threads, accesses));
     faults_per_sec[threads] = r.faults_per_sec;
-    std::printf("  %8zu %10lld %10llu %10.3f %12.0f %10.0f %8lld\n", r.threads,
+    const double accesses_per_sec =
+        r.wall_seconds > 0.0 ? static_cast<double>(r.total_accesses) / r.wall_seconds : 0.0;
+    std::printf("  %8zu %10lld %10llu %10.3f %12.0f %10.0f %8lld\n", r.workers,
                 static_cast<long long>(r.total_faults),
                 static_cast<unsigned long long>(r.total_accesses), r.wall_seconds,
-                r.faults_per_sec, r.accesses_per_sec, static_cast<long long>(r.audits_run));
+                r.faults_per_sec, accesses_per_sec, static_cast<long long>(r.audits_run));
     json.Str("bench", "parallel")
-        .Int("threads", static_cast<long long>(r.threads))
+        .Int("threads", static_cast<long long>(r.workers))
         .Int("hardware_threads", hardware_threads)
         .Int("faults", r.total_faults)
         .Int("accesses", static_cast<long long>(r.total_accesses))
         .Num("wall_sec", r.wall_seconds, 4)
         .Num("faults_per_sec", r.faults_per_sec, 0)
-        .Num("accesses_per_sec", r.accesses_per_sec, 0)
+        .Num("accesses_per_sec", accesses_per_sec, 0)
         .Int("audits", r.audits_run)
         .Int("checker_wakeups", r.checker_wakeups)
         .Int("checker_kills", r.checker_kills)

@@ -64,6 +64,13 @@ void HipecEngine::EnableConcurrent() {
 HipecEngine::~HipecEngine() {
   checker_.Stop();
   kernel_->SetFaultInterceptor(nullptr);
+  // Regions still registered die with the engine: unmount each container from its VM object
+  // (the kernel then treats the region as non-specific) and free it, with its program copy,
+  // decoded IR and queues.
+  for (Container* container : manager_.containers()) {
+    container->object()->container = nullptr;
+    container_zone_.Free(container);
+  }
 }
 
 void SetupStandardOperands(Container* container, const HipecOptions& options) {

@@ -63,15 +63,7 @@ core::PolicyProgram MakePolicy(PolicyKind kind) {
 namespace {
 
 // Runtime state for one tenant (specific application).
-struct TenantState {
-  TenantSpec spec;
-  TenantResult result;
-  std::unique_ptr<workloads::WorkloadSource> source;
-  uint64_t region_pages = 0;  // allocated region: max(spec.pages, source->region_pages())
-  mach::Task* task = nullptr;
-  core::HipecRegion region;
-  uint64_t addr = 0;
-  uint64_t container_id = 0;
+struct TenantState : TenantRuntime {
   bool arrived = false;
   bool done = false;  // no further slices (completed, terminated, departed, or torn down)
 };
@@ -166,38 +158,22 @@ class ScenarioRun {
       TenantState t;
       t.spec = spec;
       t.result.name = spec.name;
-      t.source = MaterializeSource(spec, spec_.seed, ordinal++);
-      t.region_pages = std::max(spec.pages, t.source->region_pages());
+      t.Materialize(spec_.seed, ordinal++);
       tenants_.push_back(std::move(t));
     }
     // The fault-injection layer materializes its loop/flusher tenants up front so the
     // schedule (and therefore the fingerprint) is fixed by the spec alone.
     int injected = 0;
     for (const InjectionSpec& inj : spec_.injections) {
-      TenantSpec spec;
-      if (inj.kind == InjectionKind::kPolicyLoop) {
-        spec.name = "inject-loop-" + std::to_string(injected++);
-        spec.policy = PolicyKind::kLooping;
-        spec.pattern = PatternKind::kSequential;
-        spec.write_fraction = 0.0;
-      } else if (inj.kind == InjectionKind::kReserveStarvation) {
-        spec.name = "inject-flusher-" + std::to_string(injected++);
-        spec.policy = PolicyKind::kGreedy;
-        spec.pattern = PatternKind::kBursty;
-        spec.write_fraction = 0.95;
-      } else {
+      if (!InjectsTenant(inj)) {
         continue;
       }
-      spec.pages = inj.pages;
-      spec.min_frames = inj.min_frames;
-      spec.accesses = inj.accesses;
-      spec.arrival_step = inj.at_step;
       TenantState t;
-      t.spec = spec;
-      t.result.name = spec.name;
+      t.spec = InjectedTenantSpec(inj, injected++);
+      t.spec.arrival_step = inj.at_step;
+      t.result.name = t.spec.name;
       t.result.injected = true;
-      t.source = MaterializeSource(spec, spec_.seed, ordinal++);
-      t.region_pages = std::max(spec.pages, t.source->region_pages());
+      t.Materialize(spec_.seed, ordinal++);
       tenants_.push_back(std::move(t));
     }
     for (const BackgroundSpec& spec : spec_.background) {
@@ -224,28 +200,7 @@ class ScenarioRun {
 
   void Spawn(TenantState& t) {
     t.arrived = true;
-    t.task = kernel_->CreateTask(t.spec.name);
-    core::HipecOptions options;
-    options.min_frames = t.spec.min_frames;
-    options.timeout_ns = t.spec.timeout_ns;
-    options.request_size = t.spec.request_size;
-    options.free_target = 4;
-    options.inactive_target = 8;
-    options.reserved_target = 0;
-    if (t.spec.policy == PolicyKind::kTwoQueue) {
-      options.user_queue_count = 2;
-    }
-    t.region = engine_->VmAllocateHipec(t.task, t.region_pages * kPageSize,
-                                        MakePolicy(t.spec.policy), options);
-    t.result.admitted = t.region.ok;
-    if (t.region.ok) {
-      t.addr = t.region.addr;
-      t.container_id = t.region.container->id();
-    } else {
-      // Admission denied: "can either run as a non-specific application or terminate and
-      // retry later" (§4.3.1). The scenario keeps it running non-specific.
-      t.addr = kernel_->VmAllocate(t.task, t.region_pages * kPageSize);
-    }
+    t.Register(kernel_.get(), engine_.get());
   }
 
   void Depart(TenantState& t) {
@@ -255,20 +210,12 @@ class ScenarioRun {
     t.done = true;
   }
 
-  // Copies the container's live counters into the result. Called after every access so the
-  // numbers survive the container being freed by a kill or teardown.
+  // Called after every access, so the result holds the counters as of the last one.
   void Snapshot(TenantState& t) {
     if (!t.region.ok || t.result.torn_down || t.task == nullptr || t.task->terminated()) {
       return;
     }
-    core::Container* c = t.region.container;
-    t.result.faults_handled = c->faults_handled;
-    t.result.commands_executed = c->commands_executed;
-    t.result.requests_made = c->requests_made;
-    t.result.requests_rejected = c->requests_rejected;
-    t.result.frames_force_reclaimed = c->frames_force_reclaimed;
-    t.result.frames_reclaimed_from = c->frames_reclaimed_from;
-    t.result.frames_peak = std::max(t.result.frames_peak, c->allocated_frames);
+    t.CopyCounters();
   }
 
   void RunTenantSlice(TenantState& t) {
@@ -414,6 +361,68 @@ class ScenarioRun {
 };
 
 }  // namespace
+
+bool InjectsTenant(const InjectionSpec& inj) {
+  return inj.kind == InjectionKind::kPolicyLoop || inj.kind == InjectionKind::kReserveStarvation;
+}
+
+TenantSpec InjectedTenantSpec(const InjectionSpec& inj, int ordinal) {
+  TenantSpec spec;
+  if (inj.kind == InjectionKind::kPolicyLoop) {
+    spec.name = "inject-loop-" + std::to_string(ordinal);
+    spec.policy = PolicyKind::kLooping;
+    spec.pattern = PatternKind::kSequential;
+    spec.write_fraction = 0.0;
+  } else {
+    spec.name = "inject-flusher-" + std::to_string(ordinal);
+    spec.policy = PolicyKind::kGreedy;
+    spec.pattern = PatternKind::kBursty;
+    spec.write_fraction = 0.95;
+  }
+  spec.pages = inj.pages;
+  spec.min_frames = inj.min_frames;
+  spec.accesses = inj.accesses;
+  return spec;
+}
+
+void TenantRuntime::Materialize(uint64_t scenario_seed, uint64_t ordinal) {
+  source = MaterializeSource(spec, scenario_seed, ordinal);
+  region_pages = std::max(spec.pages, source->region_pages());
+}
+
+void TenantRuntime::Register(mach::Kernel* kernel, core::HipecEngine* engine) {
+  task = kernel->CreateTask(spec.name);
+  core::HipecOptions options;
+  options.min_frames = spec.min_frames;
+  options.timeout_ns = spec.timeout_ns;
+  options.request_size = spec.request_size;
+  options.free_target = 4;
+  options.inactive_target = 8;
+  options.reserved_target = 0;
+  if (spec.policy == PolicyKind::kTwoQueue) {
+    options.user_queue_count = 2;
+  }
+  region = engine->VmAllocateHipec(task, region_pages * kPageSize, MakePolicy(spec.policy),
+                                   options);
+  result.admitted = region.ok;
+  if (region.ok) {
+    addr = region.addr;
+    container_id = region.container->id();
+  } else {
+    addr = kernel->VmAllocate(task, region_pages * kPageSize);
+  }
+}
+
+void TenantRuntime::CopyCounters() {
+  const core::Container* c = region.container;
+  result.faults_handled = c->faults_handled;
+  result.commands_executed = c->commands_executed;
+  result.requests_made = c->requests_made;
+  result.requests_rejected = c->requests_rejected;
+  result.frames_force_reclaimed = c->frames_force_reclaimed;
+  result.frames_reclaimed_from = c->frames_reclaimed_from;
+  result.frames_peak = std::max(result.frames_peak, c->allocated_frames);
+}
 
 std::unique_ptr<workloads::WorkloadSource> MaterializeSource(const TenantSpec& tenant,
                                                              uint64_t scenario_seed,

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "hipec/engine.h"
 #include "hipec/frame_manager.h"
 #include "hipec/program.h"
 #include "sim/clock.h"
@@ -190,10 +191,43 @@ struct ScenarioResult {
 // Throws sim::CheckFailure if the invariant auditor finds a violation.
 ScenarioResult RunScenario(const ScenarioSpec& spec);
 
+// --- Shared by both drivers (RunScenario above, RunScheduledScenario in scheduler.h) -------
+
+// Whether an injection materializes as a tenant (kPolicyLoop, kReserveStarvation).
+bool InjectsTenant(const InjectionSpec& inj);
+
+// The tenant an injection materializes as: "inject-loop-<ordinal>" (a LoopingPolicy only the
+// security checker can end) or "inject-flusher-<ordinal>" (a write-heavy greedy tenant that
+// drains the clean reserve). `ordinal` counts tenant-injecting injections in spec order.
+TenantSpec InjectedTenantSpec(const InjectionSpec& inj, int ordinal);
+
+// One tenant's runtime state: its reference stream and, once registered, its task and
+// region. Each driver extends it with its own scheduling state.
+struct TenantRuntime {
+  TenantSpec spec;
+  TenantResult result;
+  std::unique_ptr<workloads::WorkloadSource> source;
+  uint64_t region_pages = 0;  // max(spec.pages, source->region_pages())
+  mach::Task* task = nullptr;
+  core::HipecRegion region;
+  uint64_t addr = 0;
+  uint64_t container_id = 0;
+
+  // Builds the reference stream and the region it implies: traces may span a wider region
+  // than the spec's page count, so the allocation covers both.
+  void Materialize(uint64_t scenario_seed, uint64_t ordinal);
+  // Creates the task and registers its specific region. Admission denied: "can either run as
+  // a non-specific application or terminate and retry later" (§4.3.1); the tenant keeps
+  // running non-specific, still generating global pressure.
+  void Register(mach::Kernel* kernel, core::HipecEngine* engine);
+  // Copies the container's live counters into `result`, so they survive the container being
+  // freed by a kill or teardown. The caller guarantees the container is still alive.
+  void CopyCounters();
+};
+
 // The reference stream a tenant spec names, as a pull source with its own cursor: the
 // tenant's `workload` when set, else the legacy pattern fields via the compatibility
-// adapter. Every driver (deterministic, threaded, M:N scheduler) builds tenant streams
-// through this one function.
+// adapter. Both drivers build tenant streams through this one function.
 std::unique_ptr<workloads::WorkloadSource> MaterializeSource(const TenantSpec& tenant,
                                                              uint64_t scenario_seed,
                                                              uint64_t tenant_ordinal);
@@ -204,7 +238,7 @@ std::vector<std::pair<uint64_t, bool>> MaterializeTrace(const TenantSpec& tenant
                                                         uint64_t scenario_seed,
                                                         uint64_t tenant_ordinal);
 
-// The policy program a PolicyKind names. Shared by the deterministic and threaded drivers.
+// The policy program a PolicyKind names.
 core::PolicyProgram MakePolicy(PolicyKind kind);
 
 }  // namespace hipec::scenario

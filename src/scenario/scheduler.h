@@ -1,10 +1,23 @@
-// The M:N tenant scheduler: thousands of tenants multiplexed over a fixed pool of worker
-// threads against one real-threads kernel. The concurrency counterpart of threaded.h for
-// churn-scale populations — a 10,000-tenant scenario cannot afford 10,000 OS threads, and
-// the interesting contention (admission, reclamation, checker kills, daemon balancing) needs
-// only as many runnable tenants as there are cores.
+// The real-threads scenario runtime: tenants multiplexed over a fixed pool of worker threads
+// against one kernel built in sim::ExecMode::kRealThreads (real std::threads, the lock
+// hierarchy armed, DESIGN.md §10; the security checker running as an actual thread; host time
+// instead of the virtual clock). It is the concurrency counterpart of scenario.h's
+// deterministic round-robin driver. One spec shape covers both uses:
+//   * churn: thousands of tenants over a few workers (a 10,000-tenant scenario cannot afford
+//     10,000 OS threads, and the interesting contention needs only as many runnable tenants
+//     as there are cores);
+//   * one worker per tenant: workers = max_live_tenants = tenants.size(), so every tenant
+//     runs concurrently from the start (bench_parallel's weak-scaling phase).
+// Nothing is deterministic except the per-tenant access traces and the admission verdicts of
+// the initial window (below): interleaving, grant/reject outcomes after it, and checker
+// kills depend on the host scheduler.
 //
 // Architecture (DESIGN.md §11):
+//   * Initial window: before any worker starts, the calling thread registers the first
+//     min(max_live_tenants, tenants.size()) tenants in spec order and places tenant i on
+//     worker i % workers. Admission against the burst watermark is therefore decided in spec
+//     order for that window, and no tenant can retire and free frames before a later one in
+//     the window registers.
 //   * Each worker owns a run queue of tenant runs behind a rank-kRunQueue lock — terminal
 //     by construction: a worker pops/pushes under it and never calls into the kernel while
 //     holding it. An idle worker first drains its own queue, then admits the next un-started
@@ -12,7 +25,9 @@
 //     a sibling's queue tail via try-lock.
 //   * A tenant runs in slices of slice_accesses references; between slices it sits in a run
 //     queue and can migrate between workers freely (all per-tenant state is touched only by
-//     the worker currently running it — the run-queue lock is the handoff fence).
+//     the worker currently running it — the run-queue lock is the handoff fence). The slice
+//     must stay finite: a teardown request or an injected tenant reaches a worker only at a
+//     slice boundary.
 //   * Each worker attaches a FrameMagazine (mach/frame_pool.h) as its thread-local frame
 //     cache, so tenant churn — every departure frees a task's frames, every admission
 //     faults them back in — batches its free-pool traffic instead of hammering shard locks.
@@ -62,8 +77,9 @@ struct SchedulerSpec {
   size_t flight_recorder_window = 64;
   // Test hook: dumps go here instead of stderr when set.
   std::function<void(const std::string& json)> flight_recorder_sink;
-  // The tenant population, admitted strictly in order as live slots free up. The
-  // deterministic driver's scheduling fields are reinterpreted for wall-clock execution:
+  // The tenant population: the initial window is registered in spec order before any tenant
+  // runs, the rest are claimed in spec order as live slots free up. The deterministic
+  // driver's scheduling fields are reinterpreted for wall-clock execution:
   // arrival_step is ignored (admission order is list order); departure_step >= 0 means the
   // tenant departs (is terminated) after that many slices.
   std::vector<TenantSpec> tenants;
@@ -84,6 +100,7 @@ struct SchedulerResult {
   size_t terminated = 0; // ended early (checker kill, policy error)
   size_t torn_down = 0;  // region removed by a kTeardown injection
   int64_t checker_kills = 0;
+  int64_t checker_wakeups = 0;
   int64_t audits_run = 0;
   int64_t flight_recorder_dumps = 0;
   // Scheduler mechanics.

@@ -3,6 +3,7 @@
 // simulations, plus security/termination behaviour and frame-conservation invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "hipec/builder.h"
@@ -354,6 +355,38 @@ TEST(EngineTest, TeardownReturnsEverything) {
   EXPECT_EQ(acc.container_owned, engine.manager().manager_owned());
 }
 
+// An engine destroyed while a region is still registered frees that region's container:
+// the VM object no longer points at it, and its queues (destroyed with it) have released
+// every page they held.
+TEST(EngineTest, DestructorFreesLiveContainers) {
+  mach::Kernel kernel(SmallParams());
+  mach::VmObject* object = nullptr;
+  std::vector<mach::VmPage*> queued;
+  {
+    HipecEngine engine(&kernel);
+    mach::Task* task = kernel.CreateTask("app");
+    HipecRegion region = engine.VmAllocateHipec(task, 64 * kPageSize,
+                                                policies::FifoSecondChancePolicy(),
+                                                DefaultOptions(32));
+    ASSERT_TRUE(region.ok) << region.error;
+    ASSERT_TRUE(kernel.TouchRange(task, region.addr, 16 * kPageSize, true));
+    object = region.container->object();
+    ASSERT_EQ(object->container, region.container);
+    auto collect = [&queued](mach::VmPage* page) {
+      queued.push_back(page);
+      return true;
+    };
+    region.container->free_q().ForEach(collect);
+    region.container->active_q().ForEach(collect);
+    region.container->inactive_q().ForEach(collect);
+    ASSERT_EQ(queued.size(), 32u);
+  }
+  EXPECT_EQ(object->container, nullptr);
+  for (const mach::VmPage* page : queued) {
+    EXPECT_EQ(page->queue.load(), nullptr);
+  }
+}
+
 TEST(EngineTest, VmMapHipecControlsFileBackedRegion) {
   mach::Kernel kernel(SmallParams());
   HipecEngine engine(&kernel);
@@ -396,6 +429,9 @@ struct OracleCase {
   CommandStyle style;
   const char* name;
 };
+
+// gtest would otherwise print the raw bytes, pointer included, into each test's listed name.
+void PrintTo(const OracleCase& param, std::ostream* os) { *os << param.name; }
 
 class OracleEquivalenceTest : public ::testing::TestWithParam<OracleCase> {};
 

@@ -1,9 +1,11 @@
 // Multi-tenant scenario engine tests: canned contention scenarios run end to end with the
 // invariant auditor on, determinism across same-seed runs, fault injection (checker kills,
 // teardown, disk spikes, reserve starvation), and the auditor's ability to actually detect
-// corrupted frame state.
+// corrupted frame state. The canned scenarios must also reproduce their recorded golden
+// fingerprints byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "hipec/engine.h"
@@ -62,6 +64,33 @@ TEST(ScenarioTest, DifferentSeedDiverges) {
   spec.seed ^= 0xDEADBEEF;
   ScenarioResult b = RunScenario(spec);
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+}
+
+// --- Deterministic mode: bit-for-bit against the recorded baseline --------------------------
+
+struct GoldenEntry {
+  const char* name;
+  const char* fingerprint;
+};
+
+const GoldenEntry kGolden[] = {
+#include "golden_fingerprints.inc"
+};
+
+TEST(VirtualClockDeterminismTest, CannedScenariosMatchGoldenFingerprints) {
+  std::map<std::string, std::string> golden;
+  for (const GoldenEntry& e : kGolden) {
+    golden.emplace(e.name, e.fingerprint);
+  }
+  for (const ScenarioSpec& spec : AllCannedScenarios()) {
+    auto it = golden.find(spec.name);
+    ASSERT_NE(it, golden.end()) << "no golden fingerprint recorded for " << spec.name
+                                << "; regenerate with hipec-fingerprints --inc";
+    ScenarioResult result = RunScenario(spec);
+    // A mismatch means virtual-clock execution is no longer bit-for-bit reproducible
+    // against the baseline — a finding to investigate, not a golden file to update casually.
+    EXPECT_EQ(result.Fingerprint(), it->second) << spec.name;
+  }
 }
 
 // ---------------------------------------------------------------- contention scenarios
