@@ -35,7 +35,8 @@ uint64_t UserLevelPager::CreateRegion(mach::Task* task, uint64_t size_bytes,
   if (config_.mechanism != Mechanism::kPremoSyscall) {
     // Private pool: reserve the frames now, like a segment manager acquiring its cache.
     mach::PageQueue staging("baseline_staging");
-    bool ok = kernel_->daemon().AllocFramesForManager(pool_frames, &staging, region.get());
+    bool ok = kernel_->daemon().AllocFramesForManager(pool_frames, &staging, region.get(),
+                                                      /*stamp_recency=*/true);
     HIPEC_CHECK_MSG(ok, "baseline pager could not reserve its frame pool");
     while (mach::VmPage* page = staging.DequeueHead()) {
       region->free_frames.push_back(page);

@@ -57,6 +57,8 @@ class Container {
   void AdoptDecodedProgram(DecodedProgram decoded) {
     decoded_ = std::make_unique<DecodedProgram>(std::move(decoded));
   }
+  // Whether the policy ranks pages by recency, so the kernel must stamp its frames' references.
+  bool reads_recency() { return decoded_program().reads_recency; }
 
   // The compiled policy (jit.h), cached beside the IR. The engine's install path compiles
   // eagerly when the kernel runs with jit_mode; direct harnesses get a lazy compile from

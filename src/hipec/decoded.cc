@@ -365,7 +365,9 @@ DecodedProgram DecodePolicy(const PolicyProgram& program, const OperandArray& op
     for (const DecodedInst& inst : event.insts) {
       if (!jit::KindSupported(inst.kind)) {
         event.jit_eligible = false;
-        break;
+      }
+      if (inst.kind == DispatchKind::kLru || inst.kind == DispatchKind::kMru) {
+        decoded.reads_recency = true;
       }
     }
   }

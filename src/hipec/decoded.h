@@ -207,6 +207,8 @@ struct DecodedEvent {
 // The decode-once IR for a whole policy, cached on the Container beside the raw buffer.
 struct DecodedProgram {
   std::vector<DecodedEvent> events;
+  // Some event runs Lru or Mru, the only commands that read VmPage::last_reference_ns.
+  bool reads_recency = false;
 
   bool HasEvent(int event) const {
     return event >= 0 && event < static_cast<int>(events.size()) &&

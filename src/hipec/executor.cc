@@ -1,6 +1,7 @@
 #include "hipec/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "sim/check.h"
@@ -58,6 +59,116 @@ inline mach::VmPage* RequirePage(uint8_t index, const OperandEntry& e) {
   }
   return e.page;
 }
+
+// The IR loop's register-resident state (DESIGN.md §7): virtual time, the command budget and
+// the condition flag, held in locals while commands run and written back to memory only
+// around call-outs and at event exit — the JIT's register contract (DESIGN.md §12).
+//
+// One countdown, `fuel_`, covers both the budget and the clock: Reload() sets it to the
+// number of commands that can be charged before either the budget runs out or a decode
+// charge would reach the earliest pending clock event (the cached charge horizon). While it
+// stays non-negative a command's charge is one local decrement and test; the command that
+// would cross takes ChargeSlow(), which writes the state back and runs the unchanged budget
+// check and KernelContext::Charge for that one command. Virtual time and the budget are
+// never stored per command: Sync() derives both from the commands charged since the last
+// write-back. In real-threads mode (no virtual clock) only the budget counts down.
+//
+// Reload() runs at every event start, so it does not divide: it counts the time left before
+// the horizon in units of the decode cost rounded up to a power of two. That undercounts by
+// at most half, which only means an early slow path — it charges exactly, fires nothing
+// that is not due, and reloads a count of at least half the time still left.
+//
+// The destructor is the RAII write-back: a PolicyError or TimeoutSignal thrown anywhere in
+// the loop leaves *budget and the clock exactly where the per-command loop would have left
+// them. Sync() commits the charged commands and re-bases, so a second Sync() — the
+// destructor after a call-out that threw — commits nothing.
+//
+// Every member is forced inline: the object lives in registers only while its address never
+// leaves the loop function, and an outlined Sync() would pin it to the stack.
+#if defined(__GNUC__)
+#define HIPEC_LOOP_INLINE [[gnu::always_inline]] inline
+#else
+#define HIPEC_LOOP_INLINE inline
+#endif
+class IrLoopState {
+ public:
+  HIPEC_LOOP_INLINE IrLoopState(const mach::KernelContext& kctx, sim::Nanos decode_ns,
+                                 int64_t* budget, bool& condition)
+      : cond(condition), kctx_(kctx), decode_ns_(decode_ns),
+        decode_shift_(decode_ns > 0 ? std::bit_width(static_cast<uint64_t>(decode_ns - 1)) : 0),
+        budget_(budget), condition_(condition) {
+    Reload();
+  }
+  HIPEC_LOOP_INLINE ~IrLoopState() { Sync(); }
+  IrLoopState(const IrLoopState&) = delete;
+  IrLoopState& operator=(const IrLoopState&) = delete;
+
+  // Per-command prologue after the trap check: the checker kill flag, then the budget and
+  // decode-cost charge.
+  HIPEC_LOOP_INLINE void BeginCommand(Container* c) {
+    if (c->kill_requested) [[unlikely]] {
+      throw TimeoutSignal{};
+    }
+    if (--fuel_ < 0) [[unlikely]] {
+      ChargeSlow(c);
+    }
+  }
+
+  // Writes the state back to memory. Called before every call-out that can read the clock,
+  // schedule events, consume budget or read the flag.
+  HIPEC_LOOP_INLINE void Sync() {
+    const int64_t charged = banked_ - fuel_;
+    *budget_ -= charged;
+    if (kctx_.vclock != nullptr) {
+      *kctx_.vclock->now_storage() += charged * decode_ns_;
+    }
+    banked_ = fuel_;
+    condition_ = cond;
+  }
+
+  // Reads the state back after a call-out: the call-out may have consumed budget (a nested
+  // Activate), advanced the clock or scheduled events (moving the horizon). The flag is
+  // not reloaded: every call-out is a command whose own result sets it.
+  HIPEC_LOOP_INLINE void Reload() {
+    int64_t fuel = *budget_;
+    if (const sim::VirtualClock* vclock = kctx_.vclock; vclock != nullptr) {
+      const sim::Nanos now = vclock->now();
+      const sim::Nanos horizon = vclock->charge_horizon();
+      if (horizon <= now || decode_ns_ < 0) {
+        // An event is due now, a callback is dispatching, or the charge is one Advance()
+        // rejects: every command takes the slow path and its unchanged Charge().
+        fuel = 0;
+      } else if (decode_ns_ > 0) {
+        fuel = std::min(fuel, (horizon - now - 1) >> decode_shift_);
+      }
+    }
+    fuel_ = fuel;
+    banked_ = fuel;
+  }
+
+  bool cond;  // the condition flag (see instruction.h)
+
+ private:
+  HIPEC_LOOP_INLINE void ChargeSlow(Container* c) {
+    fuel_ = 0;
+    Sync();
+    if (--(*budget_) < 0) {
+      // Host backstop; semantically equivalent to the checker firing.
+      c->kill_requested = true;
+      throw TimeoutSignal{};
+    }
+    kctx_.Charge(decode_ns_);
+    Reload();
+  }
+
+  const mach::KernelContext& kctx_;
+  const sim::Nanos decode_ns_;
+  const int decode_shift_;  // 2^decode_shift_ >= decode_ns_
+  int64_t* const budget_;
+  bool& condition_;
+  int64_t fuel_ = 0;    // commands left to charge before the slow path
+  int64_t banked_ = 0;  // fuel_ at the last write-back
+};
 
 }  // namespace
 
@@ -184,9 +295,11 @@ ExecResult PolicyExecutor::ExecuteEvent(Container* container, int event) {
 
 // ----------------------------------------------------------------------------------------
 // Production path: table-driven dispatch over the decode-once IR. Per command: one trap
-// check, the checker/backstop guards, the decode-cost charge, and a single dense dispatch;
-// operator decode, operand classification and branch bounds checks all happened at install
-// time, and the fusion pass folded hot adjacent pairs into superinstructions.
+// check, the checker kill check, one local decrement and test that charges both the budget
+// and the decode cost (IrLoopState above: virtual time, the budget and the condition flag
+// stay in locals and reach memory only around call-outs and at exit), and a single dense
+// dispatch; operator decode, operand classification and branch bounds checks all happened
+// at install time, and the fusion pass folded hot adjacent pairs into superinstructions.
 //
 // The loop body lives in dispatch_loop.inc and is instantiated twice: a portable dense
 // switch, and (on GNU-compatible compilers) a computed-goto loop. The computed goto skips

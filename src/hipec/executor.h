@@ -155,7 +155,8 @@ class PolicyExecutor {
   GlobalFrameManager* manager_;
   int64_t max_commands_ = 50'000'000;
   // The condition flag (see instruction.h). Thread-local: in real-threads mode each fault
-  // thread interprets its own container's policy; the flag is pure per-execution state.
+  // thread interprets its own container's policy; the flag is pure per-execution state. The
+  // IR loop holds it in a local and stores it here only around call-outs and at exit.
   static thread_local bool condition_;
   DispatchMode mode_ = DispatchMode::kDecodedIr;
 #if defined(__GNUC__)

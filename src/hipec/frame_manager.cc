@@ -48,7 +48,8 @@ GlobalFrameManager::GlobalFrameManager(mach::Kernel* kernel, FrameManagerConfig 
   partition_burst_ = static_cast<size_t>(config_.partition_burst_fraction *
                                          static_cast<double>(boot_free_frames_));
   // Stock the clean reserve used by Flush exchanges.
-  bool ok = kernel_->daemon().AllocFramesForManager(config_.reserve_frames, &reserve_, this);
+  bool ok = kernel_->daemon().AllocFramesForManager(config_.reserve_frames, &reserve_, this,
+                                                    /*stamp_recency=*/true);
   HIPEC_CHECK_MSG(ok, "boot: cannot stock the flush reserve");
   stocked_reserve_ = reserve_.count();
 }
@@ -102,7 +103,8 @@ void GlobalFrameManager::UntrackAlloc(mach::VmPage* page) {
 // ------------------------------------------------------------------ grants
 
 bool GlobalFrameManager::GrantFrames(Container* container, size_t n, mach::PageQueue* dest) {
-  if (!kernel_->daemon().AllocFramesForManager(n, dest, container)) {
+  if (!kernel_->daemon().AllocFramesForManager(n, dest, container,
+                                               container->reads_recency())) {
     // Deterministic mode cannot get here (EnsureManagerFrames just succeeded); with real
     // threads, concurrent non-specific faults may have drained the pool in between.
     return false;
@@ -308,10 +310,12 @@ mach::VmPage* GlobalFrameManager::FlushExchange(Container* container, mach::VmPa
   // Exchange: the dirty frame joins the laundry and is written back later; the clean reserve
   // frame takes its place in the application's allocation.
   replacement->owner = container;
+  replacement->stamp_recency = container->reads_recency();
   replacement->user_word = 0;  // reserve frames may carry a previous owner's score
   UntrackAlloc(page);
   TrackAlloc(replacement);
   page->owner = this;
+  page->stamp_recency = true;
   page->modified = false;  // contents are en route to disk
   laundry_.EnqueueTail(page);
   kernel_->disk().WritePageAsync(block, [this, page] {
@@ -355,6 +359,11 @@ bool GlobalFrameManager::MigrateFrame(Container* from, mach::VmPage* page, uint6
   --from->allocated_frames;
   ++target->allocated_frames;  // total_specific_ unchanged: the frame stays specific
   page->owner = target;
+  page->stamp_recency = target->reads_recency();
+  if (page->stamp_recency) {
+    // The source may not have stamped it: start its recency at arrival.
+    page->last_reference_ns = kernel_->ctx().now();
+  }
   page->user_word = 0;  // the source policy's score means nothing to the target
   target->free_q().EnqueueTail(page);
   counters_.Add(kCtrMigrations);

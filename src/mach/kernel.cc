@@ -255,7 +255,9 @@ bool Kernel::Touch(Task* task, uint64_t vaddr, bool is_write) {
       page->modified = true;
     }
     page->reference.store(true, std::memory_order_relaxed);
-    page->last_reference_ns = ctx_.now();
+    if (page->stamp_recency) {
+      page->last_reference_ns = ctx_.now();
+    }
     return true;
   }
 
@@ -333,7 +335,9 @@ void Kernel::DefaultFault(Task* task, VmMapEntry* entry, uint64_t vaddr, bool is
     if (is_write) {
       page->modified = true;
     }
-    page->last_reference_ns = ctx_.now();
+    if (page->stamp_recency) {
+      page->last_reference_ns = ctx_.now();
+    }
     return;
   }
 
@@ -372,7 +376,9 @@ void Kernel::InstallPage(Task* task, VmMapEntry* entry, uint64_t vaddr, VmPage* 
   pmap_.Enter(task, vaddr & ~(kPageSize - 1), page, entry->write_protected);
   page->reference.store(true, std::memory_order_relaxed);
   page->modified = is_write;
-  page->last_reference_ns = ctx_.now();
+  if (page->stamp_recency) {
+    page->last_reference_ns = ctx_.now();
+  }
 }
 
 bool Kernel::EvictPage(VmPage* page, bool flush_if_dirty) {

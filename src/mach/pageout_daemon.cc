@@ -236,7 +236,8 @@ VmPage* PageoutDaemon::AllocForFault() {
   return page;
 }
 
-bool PageoutDaemon::AllocFramesForManager(size_t n, PageQueue* out, void* owner) {
+bool PageoutDaemon::AllocFramesForManager(size_t n, PageQueue* out, void* owner,
+                                          bool stamp_recency) {
   // No daemon-wide lock exists anymore; the GlobalFrameManager's own lock (rank kManager)
   // serializes every caller of this path, and the collect-commit-rollback below already
   // tolerated fault threads racing the pool, so nothing further is needed.
@@ -265,6 +266,7 @@ bool PageoutDaemon::AllocFramesForManager(size_t n, PageQueue* out, void* owner)
   }
   for (VmPage* page : got) {
     page->owner = owner;
+    page->stamp_recency = stamp_recency;
     page->user_word = 0;  // policy scratch must not leak between owners
     out->EnqueueTail(page);
   }
@@ -278,6 +280,7 @@ void PageoutDaemon::ReturnFrame(VmPage* page) {
   HIPEC_CHECK_MSG(page->object == nullptr, "frame still resident in an object");
   HIPEC_CHECK_MSG(!page->has_mapping, "frame still mapped");
   page->owner = nullptr;
+  page->stamp_recency = true;
   page->reference.store(false, std::memory_order_relaxed);
   page->modified = false;
   page->wired = false;

@@ -72,7 +72,8 @@ class PageoutDaemon {
 
   // Allocates `n` frames for the HiPEC global frame manager (private pools). All-or-nothing:
   // returns false without side effects if `n` frames cannot be freed while keeping free_min.
-  bool AllocFramesForManager(size_t n, PageQueue* out, void* owner);
+  // `stamp_recency` says whether `owner` ranks pages by VmPage::last_reference_ns.
+  bool AllocFramesForManager(size_t n, PageQueue* out, void* owner, bool stamp_recency);
 
   // Returns a frame to the global free pool (from eviction, task teardown, or a HiPEC
   // Release). Lands in the calling thread's attached FrameMagazine when one exists.

@@ -51,10 +51,16 @@ struct VmPage {
   // samples and clears it under a queue-shard lock, so the two sides share no lock.
   std::atomic<bool> reference{false};
   bool modified = false;   // pmap-emulated modify (dirty) bit
+  // Whether a reference stamps `last_reference_ns` below. Set wherever the frame's owner is
+  // assigned: true for global-pool frames and frames of owners that rank by recency (a
+  // container whose policy runs Lru or Mru, the baseline pager), false otherwise — so the
+  // hit path skips a clock read (a host clock read in real-threads mode) nobody consumes.
+  bool stamp_recency = true;
 
   // Simulator-maintained recency, used by the LRU/MRU complex commands. On real Mach this is
   // approximated with reference-bit sampling (Draves, "Page Replacement and Reference Bit
-  // Emulation in Mach"); the simulator can afford exact times.
+  // Emulation in Mach"); the simulator can afford exact times. Maintained only while
+  // `stamp_recency` is set.
   sim::Nanos last_reference_ns = 0;
   // Policy-visible per-page scratch word: written/read by the PageWord command and ranked by
   // WeightedSelect. Belongs to the owning container's policy; zeroed whenever the frame is

@@ -9,11 +9,13 @@
 // Everything is seeded, so a passing corpus is a permanent regression corpus — no flakes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <ostream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hipec/builder.h"
@@ -22,6 +24,7 @@
 #include "hipec/jit.h"
 #include "mach/kernel.h"
 #include "policies/policies.h"
+#include "sim/clock.h"
 
 namespace hipec::core {
 
@@ -52,10 +55,11 @@ struct World {
   std::vector<std::unique_ptr<Container>> containers;
   std::vector<ExecTrace> trace;
 
-  explicit World(DispatchMode mode)
-      : kernel(FuzzParams()), manager(&kernel, FrameManagerConfig{0.5, 16}),
+  explicit World(DispatchMode mode, bool threaded = true, size_t reserve_frames = 16)
+      : kernel(FuzzParams()), manager(&kernel, FrameManagerConfig{0.5, reserve_frames}),
         executor(&kernel, &manager) {
     executor.set_dispatch_mode(mode);
+    executor.set_threaded_dispatch(threaded);
     executor.set_trace_sink(&trace);
     // Generated programs may loop; budget exhaustion is a legitimate shared outcome, it just
     // must arrive at the same command in both engines. Keep it cheap.
@@ -228,6 +232,258 @@ TEST(JitDifferentialTest, SeededCorpusStride) {
       return;
     }
   }
+}
+
+// ----------------------------------------------------------------------------------------
+// The interpreter's register contract (DESIGN.md §7): virtual time, the command budget and
+// the condition flag live in locals and reach memory only around call-outs and at event
+// exit. Each scenario runs under the switch loop, the threaded loop and the JIT, which must
+// agree on outcome, command count, clock, trace and the command at which mid-event clock
+// events fire; the figures are also checked against the cost model (50 ns per command, no
+// other charge on these paths). Every program Activates a user event before the point
+// under test, so a write-back missing before that call-out loses commands, and has a clock
+// probe due strictly inside the event, so an interpreter that ignores the charge horizon
+// fires it late.
+// ----------------------------------------------------------------------------------------
+
+struct Engine {
+  const char* name;
+  DispatchMode mode;
+  bool threaded;
+};
+constexpr Engine kEngines[] = {
+    {"switch", DispatchMode::kDecodedIr, false},
+    {"threaded", DispatchMode::kDecodedIr, true},
+    {"jit", DispatchMode::kJit, true},
+};
+
+struct ContractScenario {
+  PolicyProgram program;
+  int64_t max_commands = 10'000'000;
+  size_t reserve_frames = 16;
+  // Clock probes, in ns after the event's dispatch charge (the first command's start).
+  std::vector<sim::Nanos> probe_offsets;
+};
+
+struct ContractRun {
+  ExecResult result;
+  sim::Nanos first_ns = 0;  // clock when the first command starts
+  sim::Nanos end_ns = 0;
+  std::vector<ExecTrace> trace;
+  // Per probe that fired: (now() inside the callback, commands traced before it fired).
+  std::vector<std::pair<sim::Nanos, size_t>> fired;
+  int64_t flushes_sync = 0;
+  int64_t flushes_async = 0;
+  int64_t laundry_done = 0;
+};
+
+ContractRun RunContract(const Engine& engine, const ContractScenario& sc) {
+  World w(engine.mode, engine.threaded, sc.reserve_frames);
+  w.executor.set_max_commands(sc.max_commands);
+  Container* c = w.MakeContainer(sc.program);
+  sim::VirtualClock* clock = w.kernel.virtual_clock();
+  ContractRun run;
+  run.first_ns = clock->now() + w.kernel.costs().policy_invoke_ns;
+  for (sim::Nanos offset : sc.probe_offsets) {
+    clock->ScheduleAt(run.first_ns + offset, [&run, &w, clock] {
+      run.fired.emplace_back(clock->now(), w.trace.size());
+    });
+  }
+  run.result = w.executor.ExecuteEvent(c, kEventPageFault);
+  run.end_ns = clock->now();
+  run.trace = w.trace;
+  run.flushes_sync = w.manager.counters().Get("manager.flushes_sync");
+  run.flushes_async = w.manager.counters().Get("manager.flushes_async");
+  run.laundry_done = w.manager.counters().Get("manager.laundry_done");
+  return run;
+}
+
+// Runs the scenario on every engine, checks they agree with the JIT, and returns the JIT's
+// run for the scenario's own expectations.
+ContractRun RunOnEveryEngine(const ContractScenario& sc) {
+  const ContractRun ref = RunContract(kEngines[2], sc);
+  for (const Engine& engine : kEngines) {
+    SCOPED_TRACE(engine.name);
+    const ContractRun run = RunContract(engine, sc);
+    EXPECT_EQ(run.result.outcome, ref.result.outcome) << run.result.error;
+    EXPECT_EQ(run.result.error, ref.result.error);
+    EXPECT_EQ(run.result.return_operand, ref.result.return_operand);
+    EXPECT_EQ(run.result.commands_executed, ref.result.commands_executed);
+    EXPECT_EQ(run.end_ns - run.first_ns, ref.end_ns - ref.first_ns);
+    EXPECT_EQ(run.trace, ref.trace);
+    EXPECT_EQ(run.fired.size(), ref.fired.size());
+    for (size_t i = 0; i < std::min(run.fired.size(), ref.fired.size()); ++i) {
+      EXPECT_EQ(run.fired[i].first - run.first_ns, ref.fired[i].first - ref.first_ns);
+      EXPECT_EQ(run.fired[i].second, ref.fired[i].second) << "probe " << i;
+    }
+    EXPECT_EQ(run.flushes_sync, ref.flushes_sync);
+    EXPECT_EQ(run.flushes_async, ref.flushes_async);
+    EXPECT_EQ(run.laundry_done, ref.laundry_done);
+  }
+  return ref;
+}
+
+constexpr sim::Nanos kDecode = 50;  // CostModel::command_decode_ns
+constexpr int kUserEvent = kFirstUserEvent;
+
+// Event 0 opens with a fused LoadImm;Arith pair and an Activate of kUserEvent: commands 1-3,
+// then the user event's five (two fused pairs and a Return) as commands 4-8.
+EventBuilder OpenWithActivate() {
+  EventBuilder b;
+  b.LoadImm(ops::kScratch0, 1).Arith(ops::kScratch1, ops::kScratch0, ArithOp::kAdd);
+  b.Activate(kUserEvent);
+  return b;
+}
+
+std::vector<Instruction> UserEvent() {
+  EventBuilder b;
+  b.LoadImm(ops::kScratch0, 7).Arith(ops::kScratch1, ops::kScratch0, ArithOp::kAdd);
+  b.LoadImm(ops::kScratch0, 2).Arith(ops::kScratch1, ops::kScratch0, ArithOp::kMul);
+  b.Return(0);
+  return b.Build();
+}
+
+// Counts kScratch0 down from its current value: three commands per iteration (Arith, then
+// a fused Comp;Jump), after a one-command setup.
+void EmitCountdown(EventBuilder& b) {
+  b.LoadImm(ops::kScratch1, 1);
+  EventBuilder::Label loop = b.NewLabel();
+  b.Bind(loop);
+  b.Arith(ops::kScratch0, ops::kScratch1, ArithOp::kSub);
+  b.Comp(ops::kScratch0, ops::kScratch1, CompOp::kLt);
+  b.JumpIfFalse(loop);
+}
+
+PolicyProgram WithUserEvent(EventBuilder& main) {
+  PolicyProgram p;
+  p.SetEvent(kEventPageFault, main.Build());
+  p.SetEvent(kUserEvent, UserEvent());
+  return p;
+}
+
+// A probe due inside command m's decode charge: it fires while command m is charged, with
+// now() at its own deadline, after m - 1 commands have been traced — m - 2 inside the
+// Activated event, whose Activate is traced once it returns.
+sim::Nanos InsideCommand(int m) { return kDecode * m - 13; }
+
+TEST(InterpreterWriteBackTest, ClockEventInsideAnEventFiresAtItsDeadlineAndCommand) {
+  EventBuilder b = OpenWithActivate();
+  b.LoadImm(ops::kScratch0, 40);
+  EmitCountdown(b);  // commands 9-130
+  b.Return(0);       // command 131
+  ContractScenario sc;
+  sc.program = WithUserEvent(b);
+  // Second half of a fused pair, inside the Activated event, mid-loop, and a deadline
+  // exactly on a command boundary (fires on that command's charge).
+  sc.probe_offsets = {InsideCommand(2), InsideCommand(6), InsideCommand(50), kDecode * 70};
+  const ContractRun ref = RunOnEveryEngine(sc);
+  EXPECT_EQ(ref.result.outcome, ExecOutcome::kOk);
+  EXPECT_EQ(ref.result.commands_executed, 131);
+  EXPECT_EQ(ref.end_ns - ref.first_ns, 131 * kDecode);
+  using Fire = std::pair<sim::Nanos, size_t>;
+  const std::vector<Fire> expected = {
+      {ref.first_ns + InsideCommand(2), 1},
+      {ref.first_ns + InsideCommand(6), 4},
+      {ref.first_ns + InsideCommand(50), 49},
+      {ref.first_ns + kDecode * 70, 69},
+  };
+  EXPECT_EQ(ref.fired, expected);
+}
+
+TEST(InterpreterWriteBackTest, BudgetRunsOutAtTheExactCommand) {
+  EventBuilder b = OpenWithActivate();
+  EventBuilder::Label spin = b.NewLabel();
+  b.Bind(spin);  // commands 9, 13, 17, ...: LoadImm;Arith and Comp;Jump, both fused
+  b.LoadImm(ops::kScratch0, 1).Arith(ops::kScratch1, ops::kScratch0, ArithOp::kAdd);
+  b.Comp(ops::kScratch1, ops::kScratch1, CompOp::kNe);
+  b.JumpIfFalse(spin);
+  ContractScenario sc;
+  sc.program = WithUserEvent(b);
+  sc.probe_offsets = {InsideCommand(6)};
+  // k + 1 is the command the budget refuses: 2, 5, 7, 10 and 12 are second halves of fused
+  // pairs (5 and 7 inside the Activated event), 3 is the Activate itself.
+  for (int64_t k = 1; k <= 24; ++k) {
+    SCOPED_TRACE("max_commands=" + std::to_string(k));
+    sc.max_commands = k;
+    const ContractRun ref = RunOnEveryEngine(sc);
+    EXPECT_EQ(ref.result.outcome, ExecOutcome::kTimeout);
+    EXPECT_EQ(ref.result.commands_executed, k + 1);
+    const bool refused_inside_activate = k + 1 >= 4 && k + 1 <= 8;
+    EXPECT_EQ(ref.trace.size(), static_cast<size_t>(refused_inside_activate ? k - 1 : k));
+    EXPECT_EQ(ref.end_ns - ref.first_ns, k * kDecode);
+    EXPECT_EQ(ref.fired.size(), k >= 6 ? 1u : 0u);
+  }
+}
+
+TEST(InterpreterWriteBackTest, PolicyErrorCommitsExactlyTheChargedCommands) {
+  // In event 0, after the Activate and a loop: 41 commands charged, the last one failing.
+  {
+    EventBuilder b = OpenWithActivate();
+    b.LoadImm(ops::kScratch0, 10);
+    EmitCountdown(b);                              // commands 9-40
+    b.DeQueueHead(ops::kPage, ops::kInactiveQueue);  // command 41: the queue is empty
+    b.Return(0);
+    ContractScenario sc;
+    sc.program = WithUserEvent(b);
+    sc.probe_offsets = {InsideCommand(6), InsideCommand(30)};
+    const ContractRun ref = RunOnEveryEngine(sc);
+    EXPECT_EQ(ref.result.outcome, ExecOutcome::kError);
+    EXPECT_EQ(ref.result.commands_executed, 41);
+    EXPECT_EQ(ref.trace.size(), 40u);
+    EXPECT_EQ(ref.end_ns - ref.first_ns, 41 * kDecode);
+    EXPECT_EQ(ref.fired.size(), 2u);
+  }
+  // Inside the Activated event: its own write-back commits, the caller's adds nothing.
+  {
+    EventBuilder b = OpenWithActivate();
+    b.Return(0);
+    PolicyProgram p;
+    p.SetEvent(kEventPageFault, b.Build());
+    EventBuilder nested;
+    nested.LoadImm(ops::kScratch0, 3).Arith(ops::kScratch1, ops::kScratch0, ArithOp::kAdd);
+    nested.LoadImm(ops::kScratch0, 5).Arith(ops::kScratch1, ops::kScratch0, ArithOp::kAdd);
+    nested.DeQueueHead(ops::kPage, ops::kInactiveQueue);  // command 8
+    nested.Return(0);
+    p.SetEvent(kUserEvent, nested.Build());
+    ContractScenario sc;
+    sc.program = std::move(p);
+    sc.probe_offsets = {InsideCommand(5)};
+    const ContractRun ref = RunOnEveryEngine(sc);
+    EXPECT_EQ(ref.result.outcome, ExecOutcome::kError);
+    EXPECT_EQ(ref.result.commands_executed, 8);
+    EXPECT_EQ(ref.trace.size(), 6u);  // the Activate never returned, so is not traced
+    EXPECT_EQ(ref.end_ns - ref.first_ns, 8 * kDecode);
+    EXPECT_EQ(ref.fired.size(), 1u);
+  }
+}
+
+TEST(InterpreterWriteBackTest, FlushThatSchedulesAWriteRefreshesTheHorizon) {
+  // With a one-frame reserve, the first Flush takes the only clean frame and schedules the
+  // dirty one's write-back. The loop outlasts the write, whose completion must fire inside
+  // it — returning the frame to the reserve — so the second Flush is an exchange too. An
+  // interpreter still counting down against the horizon cached before the first Flush
+  // would fire the completion only after choosing a synchronous write.
+  EventBuilder b = OpenWithActivate();
+  b.DeQueueHead(ops::kPage, ops::kFreeQueue);
+  b.SetBit(ops::kPage, PageBit::kModify, true);
+  b.Flush(ops::kPage);
+  b.LoadImm(ops::kScratch0, 255).LoadImm(ops::kScratch1, 255);
+  b.Arith(ops::kScratch0, ops::kScratch1, ArithOp::kMul);
+  b.LoadImm(ops::kScratch1, 4).Arith(ops::kScratch0, ops::kScratch1, ArithOp::kMul);
+  EmitCountdown(b);  // 260100 iterations, about 39 ms of decode charges
+  b.SetBit(ops::kPage, PageBit::kModify, true);
+  b.Flush(ops::kPage);
+  b.Return(0);
+  ContractScenario sc;
+  sc.program = WithUserEvent(b);
+  sc.reserve_frames = 1;
+  sc.probe_offsets = {InsideCommand(10), InsideCommand(400'000)};
+  const ContractRun ref = RunOnEveryEngine(sc);
+  EXPECT_EQ(ref.result.outcome, ExecOutcome::kOk) << ref.result.error;
+  EXPECT_EQ(ref.flushes_async, 2);
+  EXPECT_EQ(ref.flushes_sync, 0);
+  EXPECT_EQ(ref.laundry_done, 1);
+  EXPECT_EQ(ref.fired.size(), 2u);
 }
 
 }  // namespace
