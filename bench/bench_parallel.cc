@@ -111,10 +111,12 @@ SchedulerSpec MakeChurnSpec(size_t tenants, size_t workers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --accesses N: references per tenant thread in the weak-scaling phase (default 8000).
+  // --accesses N: references per tenant thread in the weak-scaling phase (default 1,000,000:
+  //   the 1-thread phase then lasts about 260 ms on a 4-thread x86-64 host, so the
+  //   scheduler's 1 ms poll tick is a small share of every phase).
   // --tenants N: churn-phase population for the M:N scheduler (default 10000; 0 skips).
   // --churn-workers N: worker pool size for the churn phase (default 8).
-  size_t accesses = 8000;
+  size_t accesses = 1'000'000;
   size_t tenants = 10'000;
   size_t churn_workers = 8;
   for (int i = 1; i < argc; ++i) {

@@ -35,8 +35,6 @@ namespace hipec::bench {
 // (probes compiled out vs in, sanitizer vs release, JIT default on vs off) instead of
 // silently gating apples against oranges.
 //
-//   cfg_dispatch    compile-time default dispatch loop: "threaded" (computed goto) on
-//                   GNU-compatible compilers, "switch" elsewhere
 //   cfg_jit         1 when the HIPEC_JIT environment variable selects DispatchMode::kJit
 //                   as the process default (same parse as mach::DefaultJitMode)
 //   cfg_probes      the HIPEC_OBS_PROBES compile-time gate: 0 means every probe was
@@ -46,11 +44,6 @@ inline const std::string& ConfigProvenanceFields() {
   static const std::string fields = [] {
     const char* jit_env = std::getenv("HIPEC_JIT");
     const bool jit = jit_env != nullptr && jit_env[0] != '\0' && jit_env[0] != '0';
-#if defined(__GNUC__)
-    const char* dispatch = "threaded";
-#else
-    const char* dispatch = "switch";
-#endif
 #if defined(HIPEC_BENCH_ASAN)
     const char* sanitizer = "asan";
 #elif defined(HIPEC_BENCH_TSAN)
@@ -59,9 +52,7 @@ inline const std::string& ConfigProvenanceFields() {
     const char* sanitizer = "none";
 #endif
     std::string out;
-    out += "\"cfg_dispatch\":\"";
-    out += dispatch;
-    out += "\",\"cfg_jit\":";
+    out += "\"cfg_jit\":";
     out += jit ? '1' : '0';
     out += ",\"cfg_probes\":";
     out += obs::ProbesCompiledIn() ? '1' : '0';

@@ -10,7 +10,13 @@ The benches emit one JSON object per line after their human-readable tables; eve
 that does not parse as a JSON object is ignored, so raw bench stdout can be fed in
 directly. Alternatively (or additionally), --report accepts machine-readable reports
 produced by `hipec-report --json`, whose top-level "metrics" object uses the same
-flattened names as extract_metrics below; both sources merge into one metric set.
+flattened names as extract_metrics below. A --report value only fills a metric that no
+--input produced: the inputs are the raw samples, the report is a summary of one of them.
+
+Repeated runs: when a metric appears in more than one input record (the same bench
+captured several times and passed as several --input files), the gate compares the
+median of its samples and prints the sample count and interquartile range, so one
+unlucky run neither fails nor passes the gate on its own.
 
 Gate rules (a metric missing from either side is never a failure — so feeding a bench
 that baseline.json knows nothing about, or a baseline entry for a bench that was not run,
@@ -19,8 +25,6 @@ rows and summarized in a stderr warning so a silently-narrowed gate is visible):
   * faultpath normalized production throughput per policy: faults_per_sec divided by the
     run's own calibration score, so the comparison tolerates machines of different speeds.
     Fails when current < factor * baseline.
-  * faultpath speedup_vs_pre_pr per policy and the geomean: same-run relative numbers,
-    immune to machine speed. Fails when current < factor * baseline.
   * faultpath jit_speedup per policy and the geomean (policy-layer JIT vs the computed-goto
     IR loop): same-run relative. Skipped when the run reports available=0 (no JIT emitter
     on the host), compared against the baseline floors otherwise.
@@ -31,8 +35,8 @@ rows and summarized in a stderr warning so a silently-narrowed gate is visible):
     replay.<field>.<policy>.<trace> from the deterministic virtual-machine facts
     (hit_ratio, faults, records, virtual_fault_ns); compared only if baselined.
 
-Config provenance: every bench JSON line carries cfg_* fields (dispatch variant, JIT
-default, probes compiled in/out, sanitizer — see bench/bench_util.h). The gate refuses to
+Config provenance: every bench JSON line carries cfg_* fields (JIT default, probes
+compiled in/out, sanitizer — see bench/bench_util.h). The gate refuses to
 run when the input records disagree with each other on any cfg_* value (two .out files
 from different builds), or when a value contradicts the baseline's "_config" object (a
 sanitizer or probes-compiled-out run being compared against release floors). Records
@@ -45,6 +49,7 @@ unreadable input.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -65,46 +70,46 @@ def parse_json_lines(path):
 
 
 def extract_metrics(records):
-    """Flattens bench records into {metric_name: value}."""
+    """Flattens bench records into {metric_name: [value per record that produced it]}."""
     metrics = {}
+
+    def put(name, value):
+        metrics.setdefault(name, []).append(value)
+
     for rec in records:
         bench = rec.get("bench")
         if bench == "faultpath" and rec.get("config") == "production":
             policy = rec["policy"]
             if "normalized_score" in rec:
-                metrics[f"faultpath.normalized.{policy}"] = rec["normalized_score"]
+                put(f"faultpath.normalized.{policy}", rec["normalized_score"])
         elif bench == "faultpath" and rec.get("config") == "jit":
             # Whole-fault throughput with the JIT dispatch layer. On hosts without an
             # emitter this measures the interpreter fallback, which is never slower than
             # production, so conservative floors hold either way.
             if "normalized_score" in rec:
-                metrics[f"faultpath.jit.normalized.{rec['policy']}"] = rec["normalized_score"]
-        elif bench == "faultpath" and rec.get("metric") == "speedup_vs_pre_pr":
-            metrics[f"faultpath.speedup_vs_pre_pr.{rec['policy']}"] = rec["value"]
-        elif bench == "faultpath" and rec.get("metric") == "geomean_speedup_vs_pre_pr":
-            metrics["faultpath.geomean_speedup_vs_pre_pr"] = rec["value"]
+                put(f"faultpath.jit.normalized.{rec['policy']}", rec["normalized_score"])
         elif bench == "faultpath" and rec.get("metric") == "jit_policy_speedup":
             # available=0 means the host has no JIT emitter and the "jit" config measured
             # the interpreter fallback: the ratio is ~1.0 and meaningless, so it is dropped
             # here and the gate skips it (missing metric = skipped, per the rules above).
             if rec.get("available", 1):
-                metrics[f"faultpath.jit_speedup.{rec['policy']}"] = rec["value"]
+                put(f"faultpath.jit_speedup.{rec['policy']}", rec["value"])
         elif bench == "faultpath" and rec.get("metric") == "jit_speedup":
             if rec.get("available", 1):
-                metrics["faultpath.jit_speedup"] = rec["value"]
+                put("faultpath.jit_speedup", rec["value"])
         elif bench == "executor_arith_loop" and rec.get("metric") == "ir_speedup":
-            metrics["interpreter.ir_speedup"] = rec["value"]
+            put("interpreter.ir_speedup", rec["value"])
         elif bench == "scenario" and "metric" in rec:
-            metrics[f"scenario.{rec['scenario']}.{rec['metric']}"] = rec["value"]
+            put(f"scenario.{rec['scenario']}.{rec['metric']}", rec["value"])
         elif bench == "replay" and "trace" in rec:
             # Trace-replay cells (bench_tournament --traces): only the deterministic
             # virtual-machine facts — identical run to run and across JIT modes — so they
             # can be baselined exactly. Host timing (ns_per_fault) is excluded on purpose.
             suffix = f"{rec['policy']}.{rec['trace']}"
-            metrics[f"replay.hit_ratio.{suffix}"] = rec["hit_ratio"]
-            metrics[f"replay.faults.{suffix}"] = rec["faults"]
-            metrics[f"replay.records.{suffix}"] = rec["records"]
-            metrics[f"replay.virtual_fault_ns.{suffix}"] = rec["virtual_fault_ns"]
+            put(f"replay.hit_ratio.{suffix}", rec["hit_ratio"])
+            put(f"replay.faults.{suffix}", rec["faults"])
+            put(f"replay.records.{suffix}", rec["records"])
+            put(f"replay.virtual_fault_ns.{suffix}", rec["virtual_fault_ns"])
         elif bench == "parallel" and "metric" in rec:
             # Thread-scaling speedups and the M:N scheduler churn rate are only meaningful
             # on hosts with enough hardware threads; on a 1-core runner they measure the
@@ -114,11 +119,11 @@ def extract_metrics(records):
                     or rec["metric"].startswith("scheduler.")) \
                     and rec.get("hardware_threads", 0) < 8:
                 continue
-            metrics[f"parallel.{rec['metric']}"] = rec["value"]
+            put(f"parallel.{rec['metric']}", rec["value"])
         elif bench == "parallel" and "threads" in rec:
             # Absolute throughput is machine-dependent: informational (never baselined),
             # and it keeps the metric set non-empty when the speedups are dropped above.
-            metrics[f"parallel.faults_per_sec.{rec['threads']}t"] = rec["faults_per_sec"]
+            put(f"parallel.faults_per_sec.{rec['threads']}t", rec["faults_per_sec"])
         elif bench == "server" and "metric" in rec:
             # bench_server's per-core service rate. Like the parallel speedups, a 1-core
             # runner time-slices the daemon's drain pool against its own forked clients and
@@ -127,12 +132,22 @@ def extract_metrics(records):
             if (rec["metric"] == "requests_per_sec_per_core"
                     and rec.get("hardware_threads", 0) < 8):
                 continue
-            metrics[f"server.{rec['metric']}"] = rec["value"]
+            put(f"server.{rec['metric']}", rec["value"])
         elif bench == "server" and "clients" in rec and "requests_per_sec" in rec:
             # Informational per-phase throughput (never baselined): keeps the metric set
             # non-empty on small hosts where the per-core metric is dropped above.
-            metrics[f"server.requests_per_sec.{rec['clients']}c"] = rec["requests_per_sec"]
+            put(f"server.requests_per_sec.{rec['clients']}c", rec["requests_per_sec"])
     return metrics
+
+
+def summarize(samples):
+    """Returns (median, (q1, q3)) of a non-empty sample list; the quartiles are None for a
+    single sample."""
+    median = statistics.median(samples)
+    if len(samples) < 2:
+        return median, None
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, (q1, q3)
 
 
 def check_config(records, baseline):
@@ -171,7 +186,7 @@ def main():
                         help="bench stdout capture (repeatable)")
     parser.add_argument("--report", action="append", default=[],
                         help="hipec-report --json output (repeatable); its 'metrics' "
-                             "object merges with metrics extracted from --input files")
+                             "object fills only metrics no --input file produced")
     parser.add_argument("--factor", type=float, default=0.75,
                         help="fail when current < factor * baseline (default 0.75, "
                              "i.e. a >25%% regression)")
@@ -194,7 +209,8 @@ def main():
     config_error = check_config(records, baseline)
     if config_error:
         errors.append(config_error)
-    current = extract_metrics(records)
+    samples = extract_metrics(records)
+    current = {name: summarize(values) for name, values in samples.items()}
     for path in args.report:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -205,7 +221,7 @@ def main():
             continue
         for name, value in metrics.items():
             if isinstance(value, (int, float)):
-                current[name] = value
+                current.setdefault(name, (value, None))
     if not current and not errors:
         errors.append("no bench JSON lines found in inputs")
     if errors:
@@ -218,15 +234,18 @@ def main():
     print(f"{'metric':<45} {'baseline':>12} {'current':>12} {'min ok':>12}  verdict")
     for name in sorted(baseline):
         base = baseline[name]
-        cur = current.get(name)
-        if cur is None or not isinstance(base, (int, float)):
+        if name not in current or not isinstance(base, (int, float)):
             continue
+        cur, iqr = current[name]
         compared += 1
         floor = args.factor * base
         ok = cur >= floor
         failures += 0 if ok else 1
+        spread = ""
+        if iqr is not None:
+            spread = f"  (median of {len(samples[name])}, IQR {iqr[0]:.4f}-{iqr[1]:.4f})"
         print(f"{name:<45} {base:>12.4f} {cur:>12.4f} {floor:>12.4f}  "
-              f"{'ok' if ok else 'REGRESSION'}")
+              f"{'ok' if ok else 'REGRESSION'}{spread}")
 
     # Metrics the run produced but the baseline does not know: informational, never a
     # failure — but loudly flagged on stderr, so a metric that silently fell out of
@@ -234,7 +253,7 @@ def main():
     # quietly narrowing.
     unbaselined = sorted(set(current) - set(baseline))
     for name in unbaselined:
-        print(f"{name:<45} {'(no baseline)':>12} {current[name]:>12.4f}")
+        print(f"{name:<45} {'(no baseline)':>12} {current[name][0]:>12.4f}")
     if unbaselined:
         print(f"check_perf_regression: warning: {len(unbaselined)} metric(s) have no "
               "baseline entry and were not gated: " + ", ".join(unbaselined),

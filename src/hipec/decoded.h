@@ -26,7 +26,8 @@
 // Raw-word interpretation lives here and nowhere else: the validator (decode-and-verify
 // pass), the engine's install path, the executor, the disassembler and hipecc all consume
 // this IR. `Instruction::Decode` remains the word-level codec primitive used by this module
-// and by the legacy reference interpreter kept for dual-path verification.
+// and by the reference interpreter, which reads the raw words itself and so is the oracle
+// the dual-path tests check DecodePolicy and fusion against.
 #ifndef HIPEC_HIPEC_DECODED_H_
 #define HIPEC_HIPEC_DECODED_H_
 
@@ -233,8 +234,8 @@ struct DecodeDiag {
 //
 // With `fuse_superinstructions` (the default, and what every install path uses) a post-pass
 // folds eligible adjacent pairs into the kFused* kinds above. Pass false to get the plain
-// one-command-per-slot stream — the dual-path tests and benchmarks use this to compare the
-// two forms; semantics (traces, counters, outcomes) are identical either way.
+// one-command-per-slot stream — the dual-path tests use this as the fusion oracle;
+// semantics (traces, counters, outcomes) are identical either way.
 DecodedProgram DecodePolicy(const PolicyProgram& program, const OperandArray& operands,
                             std::vector<DecodeDiag>* diags = nullptr,
                             bool fuse_superinstructions = true);

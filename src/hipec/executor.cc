@@ -6,14 +6,21 @@
 
 #include "sim/check.h"
 
+// The IR loop (dispatch_loop.inc) dispatches through `goto *` and the loop state is forced
+// inline with [[gnu::always_inline]]: both are GNU extensions, which GCC and Clang support.
+#if !defined(__GNUC__)
+#error "hipec needs GCC or Clang: the IR loop dispatches with labels-as-values"
+#endif
+
 namespace hipec::core {
 namespace {
 
 // Internal signal: the security checker asked for this execution to die.
 struct TimeoutSignal {};
 
-// The dispatch loop (dispatch_loop.inc) has a case and a jump-table entry per DispatchKind;
-// this fires when someone grows the IR without teaching the interpreter the new kind.
+// The dispatch loop (dispatch_loop.inc) has a handler label and a jump-table entry per
+// DispatchKind; this fires when someone grows the IR without teaching the interpreter the
+// new kind.
 static_assert(kDispatchKindCount == 56,
               "new DispatchKind: add a handler (and jump-table entry) to dispatch_loop.inc "
               "and update this tripwire");
@@ -85,11 +92,7 @@ inline mach::VmPage* RequirePage(uint8_t index, const OperandEntry& e) {
 //
 // Every member is forced inline: the object lives in registers only while its address never
 // leaves the loop function, and an outlined Sync() would pin it to the stack.
-#if defined(__GNUC__)
 #define HIPEC_LOOP_INLINE [[gnu::always_inline]] inline
-#else
-#define HIPEC_LOOP_INLINE inline
-#endif
 class IrLoopState {
  public:
   HIPEC_LOOP_INLINE IrLoopState(const mach::KernelContext& kctx, sim::Nanos decode_ns,
@@ -297,40 +300,17 @@ ExecResult PolicyExecutor::ExecuteEvent(Container* container, int event) {
 // Production path: table-driven dispatch over the decode-once IR. Per command: one trap
 // check, the checker kill check, one local decrement and test that charges both the budget
 // and the decode cost (IrLoopState above: virtual time, the budget and the condition flag
-// stay in locals and reach memory only around call-outs and at exit), and a single dense
+// stay in locals and reach memory only around call-outs and at exit), and one computed-goto
 // dispatch; operator decode, operand classification and branch bounds checks all happened
 // at install time, and the fusion pass folded hot adjacent pairs into superinstructions.
 //
-// The loop body lives in dispatch_loop.inc and is instantiated twice: a portable dense
-// switch, and (on GNU-compatible compilers) a computed-goto loop. The computed goto skips
-// the switch's range check, but it does not give each handler its own indirect branch: a
-// Release GCC build merges every `goto *` into one shared dispatch `jmp *`, and the fused
-// LoadImm;Arith handler adds one more indirect jump, the jump table of its inner switch
-// over the arithmetic operator.
+// The computed goto does not give each handler its own indirect branch: a Release GCC build
+// merges every `goto *` into one shared dispatch `jmp *`, and the fused LoadImm;Arith handler
+// adds one more indirect jump, the jump table of its inner switch over the arithmetic
+// operator.
 // ----------------------------------------------------------------------------------------
 
-#define HIPEC_DISPATCH_NAME RunEventIrSwitch
-#define HIPEC_DISPATCH_THREADED 0
 #include "hipec/dispatch_loop.inc"  // NOLINT(build/include)
-#undef HIPEC_DISPATCH_NAME
-#undef HIPEC_DISPATCH_THREADED
-
-#if defined(__GNUC__)
-#define HIPEC_DISPATCH_NAME RunEventIrThreaded
-#define HIPEC_DISPATCH_THREADED 1
-#include "hipec/dispatch_loop.inc"  // NOLINT(build/include)
-#undef HIPEC_DISPATCH_NAME
-#undef HIPEC_DISPATCH_THREADED
-#endif
-
-uint8_t PolicyExecutor::RunEventIr(Container* c, int event, int depth, int64_t* budget) {
-#if defined(__GNUC__)
-  if (threaded_dispatch_) {
-    return RunEventIrThreaded(c, event, depth, budget);
-  }
-#endif
-  return RunEventIrSwitch(c, event, depth, budget);
-}
 
 // ----------------------------------------------------------------------------------------
 // JIT path: runs install-time-compiled native code (jit.h), falling back to the IR

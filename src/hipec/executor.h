@@ -7,9 +7,10 @@
 // IR (decoded.h): raw words were classified and bounds-checked when the policy was installed,
 // so the interpreter does no per-event decoding, no operand re-classification, and no
 // per-iteration bounds check (control that leaves the stream lands on a trap slot). The
-// pre-IR switch interpreter is retained as a selectable reference path so every policy can be
-// run against both implementations and their command-by-command traces compared; it will be
-// deleted once the transition window closes.
+// pre-IR switch interpreter stays as a selectable reference path: it is the only engine that
+// reads the raw command words, so comparing its command-by-command trace against the IR loop
+// (or the JIT, which compiles from the same DecodedProgram) is what catches a DecodePolicy or
+// fusion bug. An IR-vs-JIT comparison alone cannot.
 //
 // At the start of every event the executor writes a timestamp into the container; the
 // security checker uses it to detect runaway policies. The container's CC (command counter)
@@ -48,9 +49,10 @@ struct ExecResult {
   bool ok() const { return outcome == ExecOutcome::kOk; }
 };
 
-// Which engine runs the policy. kDecodedIr is the interpreter production path;
-// kReferenceSwitch is the pre-IR decode-per-event loop kept for dual-path equivalence testing
-// and before/after benchmarking; kJit runs install-time-compiled native code (jit.h) and
+// Which engine runs the policy. kDecodedIr is the interpreter production path (the
+// computed-goto IR loop); kReferenceSwitch is the decode-per-event loop over the raw words,
+// kept as the decode-independent oracle for the dual-path and differential tests and as the
+// baseline of interpreter.ir_speedup; kJit runs install-time-compiled native code (jit.h) and
 // falls back to kDecodedIr per event when no compiled code exists (unsupported host, masked
 // kind, compile failure) — the fallbacks are counted in executor.jit_fallbacks.
 enum class DispatchMode {
@@ -99,13 +101,6 @@ class PolicyExecutor {
   DispatchMode dispatch_mode() const { return mode_; }
   void set_dispatch_mode(DispatchMode mode) { mode_ = mode; }
 
-  // Selects the computed-goto ("threaded") IR loop. Only compiled on GNU-compatible
-  // compilers, where it is the default; elsewhere the setting is accepted and ignored and
-  // the portable dense-switch loop runs. Both loops are instantiated from the same body
-  // (dispatch_loop.inc), so behavior is identical either way.
-  bool threaded_dispatch() const { return threaded_dispatch_; }
-  void set_threaded_dispatch(bool on) { threaded_dispatch_ = on; }
-
   // Attaches (or detaches, with nullptr) a per-command trace sink. Tracing is off the hot
   // path behind a single predicted-not-taken branch.
   void set_trace_sink(std::vector<ExecTrace>* sink) { trace_ = sink; }
@@ -120,13 +115,8 @@ class PolicyExecutor {
 
  private:
   // All return the Return instruction's operand index. Depth guards Activate recursion.
-  // RunEventIr picks the IR loop variant per threaded_dispatch_; the two variants are the
-  // same body (dispatch_loop.inc) instantiated with different dispatch mechanisms.
+  // RunEventIr is the computed-goto loop in dispatch_loop.inc.
   uint8_t RunEventIr(Container* container, int event, int depth, int64_t* budget);
-  uint8_t RunEventIrSwitch(Container* container, int event, int depth, int64_t* budget);
-#if defined(__GNUC__)
-  uint8_t RunEventIrThreaded(Container* container, int event, int depth, int64_t* budget);
-#endif
   uint8_t RunEventSwitch(Container* container, int event, int depth, int64_t* budget);
   // Runs compiled code for the event if the container has any (compiling lazily on first
   // use), decoding the JitStatus back into the interpreter's control flow; falls back to
@@ -159,11 +149,6 @@ class PolicyExecutor {
   // IR loop holds it in a local and stores it here only around call-outs and at exit.
   static thread_local bool condition_;
   DispatchMode mode_ = DispatchMode::kDecodedIr;
-#if defined(__GNUC__)
-  bool threaded_dispatch_ = true;
-#else
-  bool threaded_dispatch_ = false;
-#endif
   std::vector<ExecTrace>* trace_ = nullptr;
   sim::CounterSet counters_;
   obs::ProbeSet probes_;

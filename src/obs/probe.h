@@ -72,8 +72,8 @@ inline ProbeId InternProbe(const char* name) {
 constexpr bool ProbesCompiledIn() { return HIPEC_OBS_PROBES != 0; }
 
 // A subsystem's bag of probe histograms, indexed by ProbeId. The runtime switch is
-// process-wide (one flag flips every probe in every subsystem), matching how the tracer and
-// the legacy-counter A/B switch work.
+// process-wide (one flag flips every probe in every subsystem), matching how the tracer
+// works.
 // Thread-safety matches Tracer: single-threaded (and lock-free) by default; a set shared by
 // real fault threads calls EnableConcurrent() at construction time, after which Record()
 // serializes on a leaf mutex. The runtime on/off switch is a relaxed atomic either way, so a

@@ -305,7 +305,7 @@ bool SelfCheck(std::string* diagnostics) {
   };
 
   // A miniature bench capture: a human table line, a scenario summary with dropped events,
-  // a scenario metric, faultpath production + speedup + bare-metric lines, an interpreter
+  // a scenario metric, faultpath production + per-policy + bare-metric lines, an interpreter
   // line, tournament and trace-replay cells, and one corrupt JSON line.
   static const char kSample[] =
       "scenario: sample — human table line, must be skipped\n"
@@ -319,8 +319,8 @@ bool SelfCheck(std::string* diagnostics) {
       "{\"bench\":\"faultpath\",\"policy\":\"fifo\",\"config\":\"production\","
       "\"faults\":64000,\"faults_per_sec\":100000,\"ns_per_fault\":10000.0,"
       "\"normalized_score\":0.004321}\n"
-      "{\"bench\":\"faultpath\",\"policy\":\"fifo\",\"metric\":\"speedup_vs_pre_pr\","
-      "\"value\":2.210}\n"
+      "{\"bench\":\"faultpath\",\"policy\":\"fifo\",\"metric\":\"jit_policy_speedup\","
+      "\"value\":2.210,\"available\":1}\n"
       "{\"bench\":\"faultpath\",\"metric\":\"probe_overhead_pct\",\"value\":3.100}\n"
       "{\"bench\":\"executor_arith_loop\",\"metric\":\"ir_speedup\",\"value\":2.900}\n"
       "{\"bench\":\"tournament\",\"policy\":\"awrp\",\"workload\":\"hot_cold\","
@@ -375,7 +375,7 @@ bool SelfCheck(std::string* diagnostics) {
       !metric_is("scenario.sample.forced_reclaims", 7) ||
       !metric_is("scenario.sample.requests_rejected", 10) ||
       !metric_is("faultpath.normalized.fifo", 0.004321) ||
-      !metric_is("faultpath.speedup_vs_pre_pr.fifo", 2.210) ||
+      !metric_is("faultpath.jit_policy_speedup.fifo", 2.210) ||
       !metric_is("faultpath.probe_overhead_pct", 3.100) ||
       !metric_is("interpreter.ir_speedup", 2.900) ||
       !metric_is("tournament.hit_ratio.awrp.hot_cold", 0.9200) ||

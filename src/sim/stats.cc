@@ -124,21 +124,6 @@ int64_t CounterSet::Get(CounterId id) const {
   return total;
 }
 
-void CounterSet::AddViaLegacyLookup(CounterId id, int64_t delta) {
-  // Faithfully re-do what the string-keyed implementation did per Add: materialize the key
-  // (call sites passed string literals, so every call constructed a std::string — heap
-  // allocation for names past the SSO limit) and hash it into a string-keyed map. The delta
-  // still lands in the dense slot so Get()/all() are oblivious to the mode.
-  std::string key(CounterRegistry::Instance().NameOf(id).c_str());
-  auto [it, inserted] = legacy_index_.try_emplace(std::move(key), id);
-  CounterId slot = it->second;
-  if (slot >= capacity_) [[unlikely]] {
-    Grow(slot);
-  }
-  values_[slot].store(values_[slot].load(std::memory_order_relaxed) + delta,
-                      std::memory_order_relaxed);
-}
-
 void CounterSet::Grow(CounterId id) {
   // Single-threaded only (concurrent sets size once in EnableConcurrent). Size to the whole
   // registry (not just id+1): after static init the registry rarely grows, so one resize

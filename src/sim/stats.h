@@ -132,10 +132,6 @@ inline CounterId InternCounter(const char* name) {
 class CounterSet {
  public:
   void Add(CounterId id, int64_t delta = 1) {
-    if (legacy_string_lookups_) [[unlikely]] {
-      AddViaLegacyLookup(id, delta);
-      return;
-    }
     if (id >= capacity_) [[unlikely]] {
       AddSlow(id, delta);
       return;
@@ -153,14 +149,6 @@ class CounterSet {
   // the caller touches the set (kernel construction time in real-threads mode).
   void EnableConcurrent();
   bool concurrent() const { return concurrent_; }
-
-  // A/B switch for benchmarking: when enabled, every Add(CounterId) re-does the work the
-  // pre-interning implementation did per call — construct the key string and look it up in a
-  // string-keyed hash map — before landing the delta in the same dense slot. Values stay
-  // identical either way; only the per-call cost changes. bench_faultpath's pre_pr
-  // configuration turns this on so "faults/sec before interning" is measured, not estimated.
-  static void SetLegacyStringLookups(bool enabled) { legacy_string_lookups_ = enabled; }
-  static bool legacy_string_lookups() { return legacy_string_lookups_; }
 
   // Sums across slabs (exact once writers quiesce; monotonic-approximate while they run).
   int64_t Get(CounterId id) const;
@@ -199,7 +187,6 @@ class CounterSet {
   size_t ConcurrentSlabBase() const;
   void AddSlow(CounterId id, int64_t delta);
   void Grow(CounterId id);
-  void AddViaLegacyLookup(CounterId id, int64_t delta);
 
   std::unique_ptr<std::atomic<int64_t>[]> values_;
   size_t capacity_ = 0;  // ids [0, capacity_) hit the dense arrays
@@ -209,9 +196,6 @@ class CounterSet {
   // Ids interned after EnableConcurrent sized the slabs (growth would race with writers).
   mutable std::mutex overflow_mu_;
   std::map<CounterId, int64_t> overflow_;
-  // Pre-interning cost emulation: name -> id, populated lazily while the legacy switch is on.
-  std::unordered_map<std::string, CounterId> legacy_index_;
-  static inline bool legacy_string_lookups_ = false;
 };
 
 // Formats virtual nanoseconds as a human-readable duration ("4016.5 ms", "19.0 us").

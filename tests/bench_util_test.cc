@@ -50,23 +50,17 @@ TEST(JsonLineTest, NegativeAndLargeInts) {
 TEST(JsonLineTest, EmittedLinesCarryConfigProvenance) {
   JsonLine json;
   std::string out = json.Str("bench", "faultpath").FinishWithProvenance();
-  EXPECT_NE(out.find("\"cfg_dispatch\":\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"cfg_jit\":"), std::string::npos) << out;
   EXPECT_NE(out.find("\"cfg_probes\":"), std::string::npos) << out;
   EXPECT_NE(out.find("\"cfg_sanitizer\":\""), std::string::npos) << out;
   // Still one well-formed object: payload first, provenance appended before the brace.
-  EXPECT_EQ(out.find("{\"bench\":\"faultpath\",\"cfg_dispatch\""), 0u) << out;
+  EXPECT_EQ(out.find("{\"bench\":\"faultpath\",\"cfg_jit\""), 0u) << out;
   EXPECT_EQ(out.back(), '}');
 }
 
 TEST(JsonLineTest, ProvenanceMatchesCompileTimeConfig) {
   JsonLine json;
   std::string out = json.Int("x", 1).FinishWithProvenance();
-#if defined(__GNUC__)
-  EXPECT_NE(out.find("\"cfg_dispatch\":\"threaded\""), std::string::npos) << out;
-#else
-  EXPECT_NE(out.find("\"cfg_dispatch\":\"switch\""), std::string::npos) << out;
-#endif
   const std::string probes =
       std::string("\"cfg_probes\":") + (obs::ProbesCompiledIn() ? "1" : "0");
   EXPECT_NE(out.find(probes), std::string::npos) << out;
@@ -75,7 +69,7 @@ TEST(JsonLineTest, ProvenanceMatchesCompileTimeConfig) {
 TEST(JsonLineTest, ProvenanceOnEmptyObjectIsWellFormed) {
   JsonLine json;
   std::string out = json.FinishWithProvenance();
-  EXPECT_EQ(out.find("{\"cfg_dispatch\""), 0u) << out;
+  EXPECT_EQ(out.find("{\"cfg_jit\""), 0u) << out;
 }
 
 }  // namespace

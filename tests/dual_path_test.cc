@@ -105,18 +105,15 @@ void ExpectTracesIdentical(const World& ir, const World& sw) {
   }
 }
 
-// One interpreter configuration for a parity check: which loop runs, whether the IR loop
-// uses computed-goto dispatch, and whether the stream was decoded with superinstruction
-// fusion. The default is the production path.
+// One interpreter configuration for a parity check: which loop runs, and whether the stream
+// was decoded with superinstruction fusion. The default is the production path.
 struct PathConfig {
   DispatchMode mode = DispatchMode::kDecodedIr;
-  bool threaded = true;
   bool fuse = true;
 };
 
 Container* MakePathContainer(World& w, PolicyProgram program, const HipecOptions& options,
                              const PathConfig& config) {
-  w.executor.set_threaded_dispatch(config.threaded);
   Container* c = w.MakeContainer(std::move(program), options);
   if (!config.fuse) {
     c->AdoptDecodedProgram(
@@ -169,7 +166,7 @@ void ExerciseTable2PolicyPaths(const std::function<PolicyProgram()>& make_progra
   EXPECT_GT(ir.trace.size(), 0u);
 }
 
-// The headline pairing: production IR (fused, threaded where available) vs the pre-IR
+// The headline pairing: production IR (fused, computed-goto) vs the pre-IR
 // reference interpreter.
 void ExerciseTable2Policy(const std::function<PolicyProgram()>& make_program,
                           HipecOptions options) {
@@ -256,21 +253,6 @@ TEST(DualPathFusionTest, UnfusedIrVsReferenceSwitchLru) {
   ExerciseTable2PolicyPaths([] { return policies::LruPolicy(policies::CommandStyle::kComplex); },
                             options, PathConfig{.fuse = false},
                             PathConfig{.mode = DispatchMode::kReferenceSwitch});
-}
-
-// Computed-goto vs dense-switch instantiations of the IR loop, both fused.
-TEST(DualPathFusionTest, ThreadedVsSwitchDispatchFifoSecondChance) {
-  HipecOptions options;
-  options.min_frames = 8;
-  ExerciseTable2PolicyPaths([] { return policies::FifoSecondChancePolicy(); }, options,
-                            PathConfig{.threaded = true}, PathConfig{.threaded = false});
-}
-
-TEST(DualPathFusionTest, ThreadedVsSwitchDispatchTwoQueue) {
-  HipecOptions options = policies::TwoQueueOptions();
-  options.min_frames = 8;
-  ExerciseTable2PolicyPaths([] { return policies::TwoQueuePolicy(); }, options,
-                            PathConfig{.threaded = true}, PathConfig{.threaded = false});
 }
 
 // Guard against the equivalence tests above becoming vacuous: the Table 2 policies must

@@ -55,11 +55,10 @@ struct World {
   std::vector<std::unique_ptr<Container>> containers;
   std::vector<ExecTrace> trace;
 
-  explicit World(DispatchMode mode, bool threaded = true, size_t reserve_frames = 16)
+  explicit World(DispatchMode mode, size_t reserve_frames = 16)
       : kernel(FuzzParams()), manager(&kernel, FrameManagerConfig{0.5, reserve_frames}),
         executor(&kernel, &manager) {
     executor.set_dispatch_mode(mode);
-    executor.set_threaded_dispatch(threaded);
     executor.set_trace_sink(&trace);
     // Generated programs may loop; budget exhaustion is a legitimate shared outcome, it just
     // must arrive at the same command in both engines. Keep it cheap.
@@ -237,24 +236,24 @@ TEST(JitDifferentialTest, SeededCorpusStride) {
 // ----------------------------------------------------------------------------------------
 // The interpreter's register contract (DESIGN.md §7): virtual time, the command budget and
 // the condition flag live in locals and reach memory only around call-outs and at event
-// exit. Each scenario runs under the switch loop, the threaded loop and the JIT, which must
-// agree on outcome, command count, clock, trace and the command at which mid-event clock
-// events fire; the figures are also checked against the cost model (50 ns per command, no
-// other charge on these paths). Every program Activates a user event before the point
-// under test, so a write-back missing before that call-out loses commands, and has a clock
-// probe due strictly inside the event, so an interpreter that ignores the charge horizon
-// fires it late.
+// exit. Each scenario runs under the IR loop and the JIT, which must agree with the reference
+// interpreter on outcome, command count, clock, trace and the command at which mid-event
+// clock events fire. The reference charges the budget and the clock on every command, so it
+// is the oracle for the loop's write-back. The figures are also checked against the cost
+// model (50 ns per command, no other charge on these paths). Every program Activates a user
+// event before the point under test, so a write-back missing before that call-out loses
+// commands, and has a clock probe due strictly inside the event, so an interpreter that
+// ignores the charge horizon fires it late.
 // ----------------------------------------------------------------------------------------
 
 struct Engine {
   const char* name;
   DispatchMode mode;
-  bool threaded;
 };
+constexpr Engine kOracle = {"reference", DispatchMode::kReferenceSwitch};
 constexpr Engine kEngines[] = {
-    {"switch", DispatchMode::kDecodedIr, false},
-    {"threaded", DispatchMode::kDecodedIr, true},
-    {"jit", DispatchMode::kJit, true},
+    {"ir", DispatchMode::kDecodedIr},
+    {"jit", DispatchMode::kJit},
 };
 
 struct ContractScenario {
@@ -278,7 +277,7 @@ struct ContractRun {
 };
 
 ContractRun RunContract(const Engine& engine, const ContractScenario& sc) {
-  World w(engine.mode, engine.threaded, sc.reserve_frames);
+  World w(engine.mode, sc.reserve_frames);
   w.executor.set_max_commands(sc.max_commands);
   Container* c = w.MakeContainer(sc.program);
   sim::VirtualClock* clock = w.kernel.virtual_clock();
@@ -298,10 +297,10 @@ ContractRun RunContract(const Engine& engine, const ContractScenario& sc) {
   return run;
 }
 
-// Runs the scenario on every engine, checks they agree with the JIT, and returns the JIT's
-// run for the scenario's own expectations.
+// Runs the scenario on the oracle and every engine, checks the engines agree with the
+// oracle, and returns the oracle's run for the scenario's own expectations.
 ContractRun RunOnEveryEngine(const ContractScenario& sc) {
-  const ContractRun ref = RunContract(kEngines[2], sc);
+  const ContractRun ref = RunContract(kOracle, sc);
   for (const Engine& engine : kEngines) {
     SCOPED_TRACE(engine.name);
     const ContractRun run = RunContract(engine, sc);

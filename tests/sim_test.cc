@@ -268,23 +268,6 @@ TEST(CounterSetTest, ClearZeroesEverything) {
   EXPECT_EQ(counters.Get(id), 1);
 }
 
-TEST(CounterSetTest, LegacyStringLookupModeKeepsValuesIdentical) {
-  // The A/B switch bench_faultpath uses to price the pre-interning counter path must only
-  // change per-call cost, never observable values.
-  CounterId id = InternCounter("registry_test.legacy_mode");
-  CounterSet counters;
-  counters.Add(id, 2);
-  CounterSet::SetLegacyStringLookups(true);
-  EXPECT_TRUE(CounterSet::legacy_string_lookups());
-  counters.Add(id, 3);
-  counters.Add("registry_test.legacy_mode", 4);
-  CounterSet::SetLegacyStringLookups(false);
-  counters.Add(id, 5);
-  EXPECT_EQ(counters.Get(id), 14);
-  EXPECT_EQ(counters.Get("registry_test.legacy_mode"), 14);
-  EXPECT_EQ(counters.all().at("registry_test.legacy_mode"), 14);
-}
-
 TEST(CounterSetTest, ToStringListsNonZeroCountersSorted) {
   CounterSet counters;
   counters.Add("registry_test.b_second", 2);
